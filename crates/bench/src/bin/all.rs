@@ -6,8 +6,8 @@
 //! `results/`), and per-step wall timings are collected into
 //! `BENCH_workloads.json`. With `--check`, the suite re-runs and each
 //! artifact is compared against its committed baseline instead of
-//! being rewritten — warn-only, like `sim_speed -- --check`: drift
-//! prints a `WARN` line but never fails the build.
+//! being rewritten — warn-only: drift prints a `WARN` line but never
+//! fails the build.
 
 use cras_bench::{check_bench, check_mode, quick_mode, strict_mode, write_bench, write_result};
 use cras_sim::Duration;

@@ -13,7 +13,7 @@
 //! With `--check`, the run is compared against the committed
 //! `BENCH_catalog_scaling.json` at the repo root: numeric fields are
 //! compared pairwise and drift past ±20% prints a `WARN` line.
-//! Warn-only, like the `sim_speed` check — it exists so a capacity
+//! Warn-only, like every `--check` — it exists so a capacity
 //! regression shows up in the log the day it lands, not to gate noisy
 //! CI machines.
 

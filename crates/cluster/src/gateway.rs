@@ -27,13 +27,13 @@
 
 use std::collections::BTreeMap;
 
+use cras_core::cachepolicy::PopularityEstimator;
 use cras_core::AdmissionError;
 use cras_media::{Movie, StreamProfile};
 use cras_sim::{Duration, Instant};
 use cras_sys::player::PlayerStats;
 use cras_sys::{ClientId, ShardLoad, SysConfig, System};
 
-use crate::popularity::PopularityEstimator;
 use crate::ring::{mix, Ring};
 
 /// How the gateway steps its shards between barriers.
@@ -812,9 +812,7 @@ mod tests {
 
     #[test]
     fn opens_avoid_the_replica_with_recent_volume_lag() {
-        use cras_core::{IntervalReport, ReadId, ReadReq, StreamId};
-        use cras_disk::{Completed, DiskRequest, ServiceBreakdown, VolumeId};
-        use cras_sys::DiskTag;
+        use cras_disk::{FaultInjector, VolumeId};
 
         let mut cl = small_cluster(Stepping::Lockstep);
         cl.add_title("hot.mov", &StreamProfile::mpeg1(), 30.0, 0);
@@ -824,45 +822,25 @@ mod tests {
         };
         assert_eq!(before.len(), 2, "hot title has two live replicas");
 
-        // Feed the preferred replica a completed interval that ran far
-        // behind its calculated I/O time: its volume-lag signal rises
-        // while its stream count stays zero — the signal open counts
-        // cannot see.
-        let rid = ReadId(900_000);
-        let rep = IntervalReport {
-            index: 0,
-            reqs: vec![ReadReq {
-                id: rid,
-                stream: StreamId(0),
-                volume: VolumeId(0),
-                block: 0,
-                nblocks: 8,
-            }],
-            posted_chunks: 0,
-            overran: false,
-            calculated_io_time: 0.001,
-            per_volume_calculated: vec![0.001, 0.0],
-            degraded_streams: 0,
-            steered_streams: 0,
-            lost_streams: 0,
-            cache_served_streams: 0,
-            deferred_reserved: Vec::new(),
-            cache_rejected_titles: Vec::new(),
-            parked_streams: Vec::new(),
-        };
-        let m = &mut cl.shards[before[0] as usize].sys.metrics;
-        m.on_interval(&rep, Instant::ZERO);
-        m.on_cras_read_done(
-            rid,
-            &Completed {
-                req: DiskRequest::rt_read(0, 8, DiskTag::Cras(rid)),
-                submitted_at: Instant::ZERO,
-                started_at: Instant::ZERO,
-                finished_at: Instant::ZERO + Duration::from_millis(200),
-                breakdown: ServiceBreakdown::default(),
-                failed: false,
-            },
-        );
+        // Stall every read on the preferred replica's spindles (a drive
+        // stuck in retries) and play one viewer there, then close it:
+        // the replica's volume-lag signal stays up while its stream
+        // count is back to zero — the signal open counts cannot see.
+        let slow = &mut cl.shards[before[0] as usize].sys;
+        for v in 0..slow.volumes() as u32 {
+            slow.disks
+                .volume_mut(VolumeId(v))
+                .set_fault_injector(Some(FaultInjector::new(
+                    1.0,
+                    Duration::from_millis(200),
+                    u64::from(v),
+                )));
+        }
+        let sid = cl.open("hot.mov").expect("admitted");
+        assert_eq!(cl.session(sid).unwrap().shard, before[0]);
+        cl.run_for(Duration::from_secs(2));
+        cl.close(sid);
+        assert_eq!(cl.shards[before[0] as usize].sys.cras.stream_count(), 0);
 
         let after = {
             let info = cl.titles.get("hot.mov").unwrap();

@@ -536,6 +536,14 @@ impl CrasServer {
         }
     }
 
+    /// Orphans a stream's in-flight pre-fetches: their completions are
+    /// ignored and nothing of them is posted.
+    fn drop_inflight(&mut self, id: StreamId) {
+        self.pending.retain(|_, b| b.stream != id);
+        self.outstanding.remove(&id.0);
+        self.done.retain(|b| b.stream != id);
+    }
+
     /// Drops one outstanding-batch count for a stream (its batch
     /// completed or was discarded). The entry vanishes at zero so the
     /// map stays bounded by the number of backlogged streams.
@@ -1460,9 +1468,7 @@ impl CrasServer {
         let state = s.cache_state;
         // Pre-seek fetches would post chunks the clock has abandoned
         // (possibly colliding with the refetched range): drop them.
-        self.pending.retain(|_, b| b.stream != id);
-        self.outstanding.remove(&id.0);
-        self.done.retain(|b| b.stream != id);
+        self.drop_inflight(id);
         if !state.is_cached() {
             return;
         }
@@ -1600,13 +1606,30 @@ impl CrasServer {
 
         // Phase 1: post the previous interval's data into the buffers.
         let mut posted = 0usize;
+        let mut rewound: Vec<StreamId> = Vec::new();
         for batch in std::mem::take(&mut self.done) {
+            if rewound.contains(&batch.stream) {
+                continue;
+            }
             let Some(s) = self.streams.get_mut(&batch.stream.0) else {
                 continue; // Closed while in flight.
             };
             let media_now = s.clock.media_time(now);
+            // The B_i = 2·A_i bound counts on the clock having consumed
+            // an interval since the batch was planned. A clock that
+            // stopped since (a delivery park, `crs_stop`) or has not
+            // restarted yet has not, so the batch may not fit: what
+            // does not fit is dropped with the stream's other in-flight
+            // reads, and the cursor rewinds to fetch it again.
+            let frozen = s.clock.anchor().is_none_or(|a| a > now);
             for i in batch.chunk_lo..=batch.chunk_hi {
                 let c = *s.table.get(i).expect("batch chunk in table");
+                if frozen && !s.buffer.has_room(c.size, media_now) {
+                    s.buffer.discard_from(c.timestamp);
+                    s.prefetch_cursor = c.timestamp;
+                    rewound.push(batch.stream);
+                    break;
+                }
                 s.buffer.put(
                     BufferedChunk {
                         index: c.index,
@@ -1658,6 +1681,9 @@ impl CrasServer {
                     f.prefetch_cursor = f.prefetch_cursor.max(c.timestamp + c.duration);
                 }
             }
+        }
+        for id in rewound {
+            self.drop_inflight(id);
         }
         self.stats.chunks_posted += posted as u64;
 
@@ -2437,6 +2463,50 @@ mod tests {
         let resumed = srv.interval_tick(at(4500));
         assert!(!resumed.reqs.is_empty());
         assert!(srv.stream(id).prefetch_cursor > cursor_before);
+    }
+
+    #[test]
+    fn stop_right_after_a_post_drops_what_no_longer_fits() {
+        let mut srv = server();
+        let (t, e) = movie_table(10.0);
+        let id = srv.open("m", t, e).unwrap();
+        srv.start(id, at(0));
+        // Steady state: each interval's reads complete inside it.
+        for k in 0..12 {
+            let r = srv.interval_tick(at(k * 500));
+            for q in &r.reqs {
+                srv.io_done(q.id, at(k * 500 + 100));
+            }
+        }
+        // Stop 10 ms after a post, with that tick's batch in flight:
+        // the frozen clock never consumes the interval the 2·A_i bound
+        // counts on, so the batch cannot all fit when it posts.
+        let r = srv.interval_tick(at(6000));
+        let planned_to = srv.stream(id).prefetch_cursor;
+        srv.stop(id, at(6010));
+        for q in &r.reqs {
+            srv.io_done(q.id, at(6100));
+        }
+        srv.interval_tick(at(6500));
+        let s = srv.stream(id);
+        assert!(s.buffer.bytes() <= s.buffer.capacity());
+        let cursor = s.prefetch_cursor;
+        assert!(cursor < planned_to, "the dropped tail is not fetched");
+        let last = s.buffer.last_timestamp().expect("buffered");
+        assert!(last < cursor);
+        // Restart: fetching resumes at the first dropped chunk.
+        srv.start(id, at(7000));
+        let refetched: usize = (14..18)
+            .map(|k| {
+                let r = srv.interval_tick(at(k * 500));
+                for q in &r.reqs {
+                    srv.io_done(q.id, at(k * 500 + 100));
+                }
+                r.reqs.len()
+            })
+            .sum();
+        assert!(refetched > 0);
+        assert!(srv.stream(id).prefetch_cursor > planned_to);
     }
 
     #[test]

@@ -136,6 +136,23 @@ impl TimeDrivenBuffer {
         }
     }
 
+    /// Whether a chunk of `size` bytes fits once the chunks obsolete at
+    /// `media_now` are discarded (which this does, as [`Self::put`]
+    /// would).
+    pub fn has_room(&mut self, size: u32, media_now: Duration) -> bool {
+        self.discard_obsolete(media_now);
+        self.bytes + size as u64 <= self.capacity_bytes
+    }
+
+    /// Discards every chunk at or after media time `from`: read-ahead
+    /// the server will fetch again.
+    pub fn discard_from(&mut self, from: Duration) {
+        for (_, e) in self.entries.split_off(&from.as_nanos()) {
+            self.bytes -= e.size as u64;
+            self.stats.discarded += 1;
+        }
+    }
+
     /// Inserts a chunk (server side), discarding obsolete entries first.
     ///
     /// # Panics
@@ -231,6 +248,22 @@ mod tests {
 
     fn buf() -> TimeDrivenBuffer {
         TimeDrivenBuffer::new(100_000, ms(100))
+    }
+
+    #[test]
+    fn has_room_discards_first_and_discard_from_drops_the_tail() {
+        let mut b = buf();
+        for i in 0..16 {
+            b.put(chunk(i, i as u64 * 33, 33, 6250), Duration::ZERO);
+        }
+        assert!(!b.has_room(6250, Duration::ZERO), "16 x 6250 fills 100 000");
+        // At media 200 ms everything before 100 ms is obsolete.
+        assert!(b.has_room(6250, ms(200)));
+        assert_eq!(b.first_timestamp(), Some(ms(132)));
+        b.discard_from(ms(264));
+        assert_eq!(b.last_timestamp(), Some(ms(231)));
+        assert_eq!(b.bytes(), 4 * 6250);
+        assert_eq!(b.stats().discarded, 12);
     }
 
     #[test]

@@ -205,7 +205,7 @@ pub struct SysState {
     /// unchanged.
     pub net: NetDelivery,
     /// Post-mortem event trace (disabled by default; enable with
-    /// `sys.trace.set_enabled(true)`). The ring is part of the state;
+    /// [`System::set_trace_enabled`]). The ring is part of the state;
     /// handlers emit [`Action::Trace`] records (only while enabled) and
     /// the executor appends them.
     pub trace: Trace,
@@ -247,13 +247,41 @@ pub struct SysState {
 /// The assembled system: the [`SysState`] transition core plus the thin
 /// executor owning the executable substrates.
 ///
-/// [`System`] derefs to [`SysState`], so component state remains
-/// reachable as before (`sys.players`, `sys.cras`, …). The executor half
-/// is [`System::handle`]: pop an event, run the pure transition, apply
-/// the emitted [`Action`]s in push order. Durable control decisions
-/// (recordings, admissions, starts/stops, volume failures, rebuild
-/// lifecycle) additionally land in the transition [`Journal`], which
-/// [`System::recover`] replays after a crash.
+/// [`System`] derefs to [`SysState`] read-only, so component state is
+/// readable (`sys.players`, `sys.cras`, …) but every change goes through
+/// a named command ([`System::start_playback`],
+/// [`System::seek_playback`], [`System::add_bg_reader`], …). The
+/// executor half is [`System::handle`]: pop an event, run the pure
+/// transition, apply the emitted [`Action`]s in push order. Durable
+/// control decisions (recordings, admissions, starts/stops, volume
+/// failures, rebuild lifecycle) additionally land in the transition
+/// [`Journal`], which [`System::recover`] replays after a crash.
+///
+/// ```no_run
+/// use cras_sys::{SysConfig, System};
+///
+/// let sys = System::new(SysConfig::default());
+/// assert!(sys.players.is_empty());
+/// ```
+///
+/// Writing through the deref does not compile, so nothing can change
+/// the state behind the transition seam:
+///
+/// ```compile_fail
+/// use cras_sys::{SysConfig, System};
+///
+/// let mut sys = System::new(SysConfig::default());
+/// sys.players.clear();
+/// ```
+///
+/// ```compile_fail
+/// use cras_core::StreamId;
+/// use cras_sys::{SysConfig, System};
+///
+/// let mut sys = System::new(SysConfig::default());
+/// let now = sys.now();
+/// sys.cras.stop(StreamId(0), now);
+/// ```
 pub struct System {
     /// The event queue and virtual clock.
     pub engine: Engine<Event>,
@@ -278,12 +306,6 @@ impl std::ops::Deref for System {
 
     fn deref(&self) -> &SysState {
         &self.state
-    }
-}
-
-impl std::ops::DerefMut for System {
-    fn deref_mut(&mut self) -> &mut SysState {
-        &mut self.state
     }
 }
 
@@ -427,18 +449,28 @@ impl System {
     pub fn journal(&self) -> &Journal {
         &self.journal
     }
-}
 
-impl SysState {
+    /// Turns the post-mortem event trace on or off.
+    pub fn set_trace_enabled(&mut self, on: bool) {
+        self.state.trace.set_enabled(on);
+    }
+
     /// Selects how interval batches are issued across volumes
     /// (experiment hook). [`IssueMode::SerialVolumes`] is a measured
     /// *baseline*, not a supported operating mode — only the
     /// cross-volume overlap experiment should ever select it, so it is
     /// deliberately not part of [`SysConfig`].
     pub fn set_issue_mode(&mut self, mode: IssueMode) {
-        self.issue = mode;
+        self.state.issue = mode;
     }
 
+    /// Mutable volume-0 file system.
+    pub fn ufs_mut(&mut self) -> &mut Ufs {
+        &mut self.state.fs[0]
+    }
+}
+
+impl SysState {
     /// The current batch-issue mode.
     pub fn issue_mode(&self) -> IssueMode {
         self.issue
@@ -454,25 +486,25 @@ impl SysState {
         &self.fs[0]
     }
 
-    /// Mutable volume-0 file system.
-    pub fn ufs_mut(&mut self) -> &mut Ufs {
-        &mut self.fs[0]
-    }
-
     /// The file system on volume `vol`.
     pub fn ufs_on(&self, vol: u32) -> &Ufs {
         &self.fs[vol as usize]
-    }
-
-    /// Mutable file system on volume `vol`.
-    pub fn ufs_on_mut(&mut self, vol: u32) -> &mut Ufs {
-        &mut self.fs[vol as usize]
     }
 
     /// Where a movie's data lives (if it was recorded through
     /// [`System::record_movie`]).
     pub fn placement(&self, name: &str) -> Option<&MoviePlacement> {
         self.placements.get(name)
+    }
+
+    /// Whether every player has finished.
+    pub fn all_players_done(&self) -> bool {
+        self.players.values().all(|p| p.done)
+    }
+
+    /// Whether a rebuild is currently running.
+    pub fn rebuild_active(&self) -> bool {
+        self.rebuild.is_some()
     }
 
     /// Records a movie into the file system. The public entry point is
@@ -975,7 +1007,7 @@ impl System {
     }
 }
 
-impl SysState {
+impl System {
     /// Adds a background `cat` reader over a movie file (64 KB reads,
     /// flat out).
     pub fn add_bg_reader(&mut self, movie: &Movie) -> ClientId {
@@ -988,19 +1020,19 @@ impl SysState {
     /// achieve the same throughput").
     pub fn add_bg_reader_paced(&mut self, movie: &Movie, pause: Duration) -> ClientId {
         let vol = self.movie_volume(movie);
-        let id = self.alloc_client();
-        let size = self.fs[vol as usize].file_size(movie.ino);
+        let id = self.state.alloc_client();
+        let size = self.state.fs[vol as usize].file_size(movie.ino);
         let mut bg = BgReader::new(id, movie.ino, size, 64 * 1024);
         bg.vol = vol;
         bg.pause = pause;
-        self.bgs.insert(id.0, bg);
+        self.state.bgs.insert(id.0, bg);
         id
     }
 
     /// Adds a paced background reader over a fresh file allocated
     /// directly on volume `vol` — skewed load for steering experiments,
     /// where the movies themselves span a whole parity band and
-    /// [`SysState::add_bg_reader`] (which derives the volume from the
+    /// [`System::add_bg_reader`] (which derives the volume from the
     /// movie's placement) cannot pin the noise to one spindle. The
     /// contiguous file means each `read_size` call reaches the disk as
     /// one non-preemptible transfer, so large sizes model bulk traffic
@@ -1013,36 +1045,27 @@ impl SysState {
         read_size: u64,
         pause: Duration,
     ) -> ClientId {
-        let ino = self.fs[vol as usize].create(name).expect("bg file");
-        self.fs[vol as usize]
+        let ino = self.state.fs[vol as usize].create(name).expect("bg file");
+        self.state.fs[vol as usize]
             .append(ino, size)
             .expect("bg file allocation");
-        let id = self.alloc_client();
+        let id = self.state.alloc_client();
         let mut bg = BgReader::new(id, ino, size, read_size);
         bg.vol = vol;
         bg.pause = pause;
-        self.bgs.insert(id.0, bg);
+        self.state.bgs.insert(id.0, bg);
         id
     }
 
     /// Adds an editor appending `write_size` bytes every `period` to a
     /// fresh file on volume 0 (delayed writes drained by the syncer).
     pub fn add_bg_writer(&mut self, name: &str, write_size: u64, period: Duration) -> ClientId {
-        let id = self.alloc_client();
-        let ino = self.fs[0].create(name).expect("fresh edit file");
-        self.writers
+        let id = self.state.alloc_client();
+        let ino = self.state.fs[0].create(name).expect("fresh edit file");
+        self.state
+            .writers
             .insert(id.0, BgWriter::new(id, ino, write_size, period));
         id
-    }
-
-    /// Whether every player has finished.
-    pub fn all_players_done(&self) -> bool {
-        self.players.values().all(|p| p.done)
-    }
-
-    /// Whether a rebuild is currently running.
-    pub fn rebuild_active(&self) -> bool {
-        self.rebuild.is_some()
     }
 }
 
@@ -1065,7 +1088,7 @@ impl System {
         let now = self.now();
         let ids: Vec<u32> = self.bgs.keys().copied().collect();
         for id in ids {
-            self.bgs.get_mut(&id).expect("just listed").started_at = now;
+            self.state.bgs.get_mut(&id).expect("just listed").started_at = now;
             self.engine.schedule_now(Event::BgKick(ClientId(id)));
         }
     }
@@ -1078,14 +1101,15 @@ impl System {
         let now = self.now();
         let mode = self.players.get(&client.0).expect("no such player").mode;
         let start = match mode {
-            PlayerMode::Cras { stream } => self.cras.start(stream, now),
+            PlayerMode::Cras { stream } => self.state.cras.start(stream, now),
             PlayerMode::Ufs { .. } => {
                 let delay =
                     self.cfg.server.interval * self.cfg.server.initial_delay_intervals as u64;
                 now + delay
             }
         };
-        self.players
+        self.state
+            .players
             .get_mut(&client.0)
             .expect("checked above")
             .playback_start = start;
@@ -1149,6 +1173,104 @@ impl System {
             .append(now, JournalRecord::Stopped { client: client.0 });
     }
 
+    /// Seeks a CRAS player to the frame playing at media time `to`
+    /// (`crs_stop` → `crs_seek` → `crs_start`): the start re-arms the
+    /// initial delay so the pipeline can refill, and the client
+    /// schedule is re-anchored so that frame plays at the new clock
+    /// start, which is returned. The player's pending frame event
+    /// carries on against the new schedule. Journaled as a fresh start,
+    /// so crash recovery resumes from the new position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is not a CRAS player or `to` is past the end
+    /// of its movie.
+    pub fn seek_playback(&mut self, client: ClientId, to: Duration) -> Instant {
+        let now = self.now();
+        let p = self.state.players.get(&client.0).expect("no such player");
+        let PlayerMode::Cras { stream } = p.mode else {
+            panic!("seek_playback needs a CRAS player");
+        };
+        let k = p.table.chunk_at(to).expect("seek target past the end");
+        let ts = p.table.get(k).expect("chunk_at is in range").timestamp;
+        self.state.cras.stop(stream, now);
+        self.state.cras.seek(stream, now, ts);
+        let begin = self.state.cras.start(stream, now);
+        let playback_start = self.reanchor(client, k, begin);
+        self.journal.append(
+            now,
+            JournalRecord::Started {
+                client: client.0,
+                playback_start,
+            },
+        );
+        begin
+    }
+
+    /// Changes a CRAS player's playback rate (`crs_set_rate`; 2.0 is
+    /// the paper's fast forward): the admission test re-runs at the
+    /// scaled retrieval rate, then the stream stops and starts again so
+    /// its clock re-arms the initial delay, and the client schedule is
+    /// re-anchored at its next frame with media time compressed by
+    /// `rate`. Returns the new clock start. A refused rate leaves the
+    /// playback untouched. Not journaled: crash recovery resumes at
+    /// normal rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is not a CRAS player.
+    pub fn set_playback_rate(
+        &mut self,
+        client: ClientId,
+        rate: f64,
+    ) -> Result<Instant, AdmissionError> {
+        let now = self.now();
+        let p = self.state.players.get(&client.0).expect("no such player");
+        let PlayerMode::Cras { stream } = p.mode else {
+            panic!("set_playback_rate needs a CRAS player");
+        };
+        let k = p.next_frame;
+        self.state.cras.set_rate(stream, now, rate)?;
+        self.state.cras.stop(stream, now);
+        let begin = self.state.cras.start(stream, now);
+        self.state
+            .players
+            .get_mut(&client.0)
+            .expect("checked above")
+            .time_scale = 1.0 / rate;
+        self.reanchor(client, k, begin);
+        Ok(begin)
+    }
+
+    /// Changes how many frames a player advances per frame shown — the
+    /// client-side half of dynamic QOS (stride 3 shows every third
+    /// frame). No server call is made: CRAS keeps retrieving every
+    /// frame and the time-driven buffer discards the skipped ones.
+    pub fn set_stride(&mut self, client: ClientId, stride: u32) {
+        assert!(stride >= 1, "zero stride");
+        self.state
+            .players
+            .get_mut(&client.0)
+            .expect("no such player")
+            .stride = stride;
+    }
+
+    /// Points a player at frame `k` and shifts its schedule so that
+    /// frame is due at `begin` under the player's time scale. Returns
+    /// the new playback start.
+    fn reanchor(&mut self, client: ClientId, k: u32, begin: Instant) -> Instant {
+        let p = self
+            .state
+            .players
+            .get_mut(&client.0)
+            .expect("no such player");
+        if let Some(ch) = p.table.get(k) {
+            p.playback_start = begin - ch.timestamp.mul_f64(p.time_scale);
+        }
+        p.next_frame = k;
+        p.playback_start
+    }
+
     /// Retries admission for a parked (rebuffering) viewer: the stream
     /// re-runs the feed ladder (disk share, then cache window) and, on
     /// success, playback resumes from the frozen position after the
@@ -1177,7 +1299,7 @@ impl System {
             self.journal
                 .append(now, JournalRecord::DiskShareReserved { client: client.0 });
         }
-        self.metrics.resumed_streams += 1;
+        self.state.metrics.resumed_streams += 1;
         true
     }
 
@@ -1297,17 +1419,18 @@ impl System {
     pub fn fail_volume(&mut self, vol: u32) {
         let now = self.now();
         self.disks.fail_volume(VolumeId(vol));
-        self.cras.set_volume_failed(VolumeId(vol), true);
+        self.state.cras.set_volume_failed(VolumeId(vol), true);
         if self.metrics.volume_failed_at.is_none() {
-            self.metrics.volume_failed_at = Some(now);
+            self.state.metrics.volume_failed_at = Some(now);
         }
-        self.trace
+        self.state
+            .trace
             .log_with(now, "volume", || format!("volume {vol} failed"));
         self.journal
             .append(now, JournalRecord::VolumeFailed { vol });
         // Conservatively abort any rebuild in progress: the dead spindle
         // may be the copy's source, and a rebuild onto it is moot.
-        self.rebuild = None;
+        self.state.rebuild = None;
     }
 
     /// Declares a whole-shard failure now: every volume fails fast at
@@ -1493,17 +1616,18 @@ impl System {
             ));
         }
         let now = self.now();
-        self.metrics.rebuild_started_at = Some(now);
-        self.rebuild_gen += 1;
+        self.state.metrics.rebuild_started_at = Some(now);
+        self.state.rebuild_gen += 1;
         let gen = self.rebuild_gen;
-        self.rebuild = Some(RebuildManager::new(
+        self.state.rebuild = Some(RebuildManager::new(
             vol,
             gen,
             chunks,
             self.cfg.rebuild_rate,
             now,
         ));
-        self.trace
+        self.state
+            .trace
             .log_with(now, "rebuild", || format!("rebuilding volume {vol}"));
         self.journal
             .append(now, JournalRecord::RebuildStarted { vol });
@@ -1715,7 +1839,7 @@ impl System {
     /// whose every frame was already due before `resume_at` is marked
     /// done instead.
     pub fn resume_playback(&mut self, client: ClientId, old_start: Instant, resume_at: Instant) {
-        let (time_scale, mode, target) = {
+        let (mode, target) = {
             let Some(p) = self.state.players.get(&client.0) else {
                 return;
             };
@@ -1728,7 +1852,7 @@ impl System {
                 }
                 k += p.stride;
             }
-            (p.time_scale, p.mode, target)
+            (p.mode, target)
         };
         let Some((k, ts)) = target else {
             // Every frame was already due: the stream finished before
@@ -1751,16 +1875,7 @@ impl System {
                 now + delay
             }
         };
-        let new_start = begin - ts.mul_f64(time_scale);
-        {
-            let p = self
-                .state
-                .players
-                .get_mut(&client.0)
-                .expect("checked above");
-            p.playback_start = new_start;
-            p.next_frame = k;
-        }
+        let new_start = self.reanchor(client, k, begin);
         self.engine
             .schedule(begin.max(now), Event::PlayerFrame(client));
         self.journal.append(
@@ -2956,7 +3071,7 @@ mod tests {
     #[test]
     fn trace_captures_server_activity() {
         let mut s = sys(SysConfig::default());
-        s.trace.set_enabled(true);
+        s.set_trace_enabled(true);
         let movie = s.record_movie("m", StreamProfile::mpeg1(), 4.0);
         let c = s.add_cras_player(&movie, 1).unwrap();
         s.start_playback(c);

@@ -45,7 +45,7 @@ pub fn run(total: Duration, switch_at: Duration, seed: u64) -> (KvTable, QosOutc
     let frames_at_switch = sys.players[&client.0].stats.frames_shown;
     // The dynamic QOS move: the *client* changes its own sampling — no
     // crs_* call is made.
-    sys.players.get_mut(&client.0).expect("exists").stride = 3;
+    sys.set_stride(client, 3);
     sys.run_until(start + total);
 
     let p = &sys.players[&client.0];

@@ -8,55 +8,45 @@
 //! ```
 
 use cras_repro::media::StreamProfile;
-use cras_repro::sim::{Duration, Instant};
-use cras_repro::sys::{Link, PlayerMode, SysConfig, System};
+use cras_repro::net::{LinkParams, SessionCfg};
+use cras_repro::sim::Duration;
+use cras_repro::sys::{SysConfig, System};
 
 fn main() {
     let mut sys = System::new(SysConfig::default());
     let movie = sys.record_movie("clip.mov", StreamProfile::mpeg1(), 20.0);
     let client = sys.add_cras_player(&movie, 1).expect("admission passes");
-    let start = sys.start_playback(client);
 
-    // Model the network hop: every frame the local player displays is
-    // also shipped to the remote viewer over NPS/Ethernet.
-    let mut link = Link::ethernet_10mbps();
-
-    // Run playback to completion first (the network does not back-press
-    // the retrieval path — NPS transmits from the shared buffer).
+    // The network hop: every frame the player decodes is shipped over
+    // NPS/Ethernet into the remote viewer's playout buffer.
+    let link = sys.net_add_link(LinkParams::ethernet_10mbps());
+    sys.net_attach(client, link, SessionCfg::default());
+    sys.start_playback(client);
     sys.run_for(Duration::from_secs(25));
 
-    let p = &sys.players[&client.0];
-    let PlayerMode::Cras { .. } = p.mode else {
-        unreachable!()
-    };
-    // Replay the display timeline through the link.
-    let mut remote_delays: Vec<f64> = Vec::new();
-    let mut t_free = Instant::ZERO;
-    for (i, &(shown_at, _local_delay)) in p.stats.delays.points().iter().enumerate() {
-        let chunk = p.table.get(i as u32).expect("frame exists");
-        let arrival = link.transmit(shown_at.max(t_free), chunk.size as u64);
-        t_free = arrival;
-        let due = start + chunk.timestamp;
-        remote_delays.push(arrival.saturating_since(due).as_secs_f64());
-    }
-    let mean = remote_delays.iter().sum::<f64>() / remote_delays.len() as f64;
-    let max = remote_delays.iter().copied().fold(0.0, f64::max);
-
-    println!("frames streamed:        {}", link.packets());
+    let shown = sys.players[&client.0].stats.frames_shown;
+    let s = sys.net.session(client.0).expect("attached above");
+    let l = sys.net.link(link);
+    println!("frames streamed:        {}", l.stats.packets_sent);
     println!(
         "bytes over Ethernet:    {:.2} MB",
-        link.bytes_sent() as f64 / 1e6
+        l.stats.bytes_sent as f64 / 1e6
     );
     println!(
         "network throughput:     {:.2} Mbps of 10",
-        link.throughput() * 8.0 / 1e6
+        l.throughput() * 8.0 / 1e6
     );
     println!(
-        "remote frame delay:     mean {:.2} ms, max {:.2} ms",
-        mean * 1e3,
-        max * 1e3
+        "remote playout:         {} of {} frames, {} late, {:.2} ms mean link queueing",
+        s.stats.frames_played,
+        shown,
+        s.stats.late_frames,
+        l.stats.queued_ns as f64 / l.stats.packets_sent.max(1) as f64 / 1e6
     );
-    println!("link queueing total:    {}", link.total_queueing());
-    assert!(max < 0.020, "remote viewing stays comfortably timely");
-    println!("ok: one MPEG-1 stream fits the paper's 10 Mbps Ethernet with ~6 ms per-frame cost");
+    assert_eq!(
+        s.stats.frames_played, shown,
+        "every frame reaches the viewer"
+    );
+    assert_eq!(s.stats.late_frames, 0, "remote viewing stays timely");
+    println!("ok: one MPEG-1 stream fits the paper's 10 Mbps Ethernet with zero late frames");
 }

@@ -10,16 +10,13 @@
 
 use cras_repro::media::StreamProfile;
 use cras_repro::sim::Duration;
-use cras_repro::sys::{PlayerMode, SysConfig, System};
+use cras_repro::sys::{SysConfig, System};
 
 fn main() {
     let mut sys = System::new(SysConfig::default());
     let movie = sys.record_movie("ff.mov", StreamProfile::mpeg1(), 40.0);
     let client = sys.add_cras_player(&movie, 1).expect("admission passes");
     let start = sys.start_playback(client);
-    let PlayerMode::Cras { stream } = sys.players[&client.0].mode else {
-        unreachable!()
-    };
 
     // Normal playback for 5 seconds.
     sys.run_until(start + Duration::from_secs(5));
@@ -31,24 +28,12 @@ fn main() {
     );
 
     // Fast forward: the server retrieves at 2x; the admission test is
-    // re-run with the doubled rate. The clean protocol is
-    // stop -> set_rate -> start, so the clock re-arms with the initial
-    // delay and the client re-anchors against the same epoch.
+    // re-run with the doubled rate. The stream then stops and starts
+    // again, so the clock re-arms with the initial delay and the client
+    // re-anchors its schedule, compressed 2x, at the new clock start.
     let now = sys.now();
-    sys.cras.stop(stream, now);
-    sys.cras
-        .set_rate(stream, now, 2.0)
+    sys.set_playback_rate(client, 2.0)
         .expect("one stream at 2x still fits");
-    let begin = sys.cras.start(stream, now);
-    {
-        let p = sys.players.get_mut(&client.0).expect("exists");
-        let k = p.next_frame;
-        let ts = p.table.get(k).expect("in range").timestamp;
-        // Frame k plays at `begin`; the rest of the schedule is
-        // compressed 2x relative to media time.
-        p.playback_start = begin - ts.mul_f64(0.5);
-        p.time_scale = 0.5;
-    }
     sys.run_until(now + Duration::from_secs(5));
     let fetched_ff = sys.metrics.cras_read_bytes - fetched_normal;
     println!(
@@ -67,7 +52,6 @@ fn main() {
     );
 
     // An absurd request is refused by the admission test.
-    let at = sys.now();
-    let err = sys.cras.set_rate(stream, at, 64.0);
+    let err = sys.set_playback_rate(client, 64.0);
     println!("crs_set_rate(64x) -> {}", err.expect_err("must be refused"));
 }

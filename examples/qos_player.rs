@@ -24,7 +24,7 @@ fn main() {
 
     // The QOS move: the client simply samples every third frame from the
     // shared buffer. No crs_* call happens.
-    sys.players.get_mut(&client.0).expect("exists").stride = 3;
+    sys.set_stride(client, 3);
     println!("client drops to 10 fps — server not notified");
 
     // Phase 2: reduced rate for 10 more seconds.

@@ -5,7 +5,7 @@
 
 use cras_repro::media::StreamProfile;
 use cras_repro::sim::{Duration, Instant};
-use cras_repro::sys::{PlayerMode, SchedMode, SysConfig, System};
+use cras_repro::sys::{SchedMode, SysConfig, System};
 
 #[test]
 fn full_playback_pipeline_delivers_every_frame() {
@@ -69,23 +69,10 @@ fn seek_repositions_playback_mid_run() {
     let start = sys.start_playback(client);
     // Play 12 s, then jump back to media time 10 s (a replay seek).
     sys.run_until(start + Duration::from_secs(12));
-    let PlayerMode::Cras { stream } = sys.players[&client.0].mode else {
-        unreachable!()
-    };
-    let now = sys.now();
     let shown_before = sys.players[&client.0].stats.frames_shown;
     // The crs_* seek protocol: stop the clock, reposition, start again
     // (start re-arms the initial delay so the pipeline can refill).
-    sys.cras.stop(stream, now);
-    sys.cras.seek(stream, now, Duration::from_secs(10));
-    let begin = sys.cras.start(stream, now);
-    {
-        let p = sys.players.get_mut(&client.0).unwrap();
-        // Re-anchor the client schedule: frame 300 (media 10 s) plays at
-        // the new clock start.
-        p.next_frame = 300;
-        p.playback_start = begin - Duration::from_secs(10);
-    }
+    sys.seek_playback(client, Duration::from_secs(10));
     sys.run_for(Duration::from_secs(5));
     let p = &sys.players[&client.0];
     // Frames from the new position played (some may drop right at the

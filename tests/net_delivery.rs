@@ -173,3 +173,39 @@ fn recovery_restores_links_sessions_and_multicast() {
         );
     }
 }
+
+/// A slow-draining client behind tight watermarks: delivery
+/// backpressure parks its stream again and again, sometimes just after
+/// an interval's batch was posted. The batch planned at that tick is
+/// still in flight and lands at the next one in a buffer whose clock
+/// has stopped, so it never consumed the interval the `B_i = 2·A_i`
+/// bound counts on. The overflow must be dropped and fetched again
+/// after the resume, with every frame still played.
+#[test]
+fn backpressure_park_with_reads_in_flight_keeps_the_buffer_bound() {
+    let mut sys = System::new(SysConfig::default());
+    let movie = sys.record_movie("slow.mov", StreamProfile::mpeg1(), 30.0);
+    let link = sys.net_add_link(LinkParams::ethernet_10mbps());
+    let client = sys.add_cras_player(&movie, 1).expect("admission");
+    sys.net_attach(
+        client,
+        link,
+        SessionCfg {
+            playout_delay: Duration::from_millis(500),
+            high_watermark: 128 << 10,
+            low_watermark: 64 << 10,
+            drain_scale: 1.25,
+        },
+    );
+    sys.start_playback(client);
+    sys.run_for(Duration::from_secs(60));
+
+    assert!(sys.metrics.net_parks > 1, "backpressure never parked");
+    let p = &sys.players[&client.0];
+    assert!(p.done, "playback never finished");
+    assert_eq!(p.stats.frames_shown, movie.table.len() as u64);
+    assert_eq!(p.stats.frames_dropped, 0);
+    let s = sys.net.session(client.0).expect("session exists");
+    assert_eq!(s.stats.frames_played, movie.table.len() as u64);
+    assert_eq!(s.stats.late_frames, 0);
+}
