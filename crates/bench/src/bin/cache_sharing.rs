@@ -1,6 +1,6 @@
 //! Regenerates the interval-cache sharing experiment.
 
-use cras_bench::{quick_mode, write_result};
+use cras_bench::{quick_mode, write_bench, write_result};
 use cras_sim::Duration;
 use cras_workload::cache_sharing::sweep;
 
@@ -26,8 +26,13 @@ fn main() {
     );
     println!("{}", t.render());
     println!("{}", f.render());
-    write_result("cache_sharing", &t.to_json());
-    write_result("cache_sharing_admitted", &f.to_json());
+    for (name, json) in [
+        ("cache_sharing", t.to_json()),
+        ("cache_sharing_admitted", f.to_json()),
+    ] {
+        write_result(name, &json);
+        write_bench(name, &json, quick);
+    }
     // Smoke contract for CI: the cache admitted extra viewers and every
     // admitted stream kept every deadline.
     let base = outs.first().expect("budget 0 ran");

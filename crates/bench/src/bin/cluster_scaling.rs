@@ -2,12 +2,13 @@
 //! 4-volume gateway over a 1000-title Zipf catalog, viewers swept, the
 //! busiest shard killed mid-run.
 
-use cras_bench::{quick_mode, write_result};
+use cras_bench::{quick_mode, write_bench, write_result};
 use cras_sim::Duration;
 use cras_workload::cluster_scaling::{sweep, ClusterParams};
 
 fn main() {
-    let (mut p, counts): (ClusterParams, &[usize]) = if quick_mode() {
+    let quick = quick_mode();
+    let (mut p, counts): (ClusterParams, &[usize]) = if quick {
         let mut p = ClusterParams::standard();
         p.shards = 3;
         p.volumes = 2;
@@ -30,6 +31,11 @@ fn main() {
             o.requested
         );
     }
-    write_result("cluster_scaling", &t.to_json());
-    write_result("cluster_scaling_served", &f.to_json());
+    for (name, json) in [
+        ("cluster_scaling", t.to_json()),
+        ("cluster_scaling_served", f.to_json()),
+    ] {
+        write_result(name, &json);
+        write_bench(name, &json, quick);
+    }
 }

@@ -1,11 +1,12 @@
 //! Regenerates Figure 6: CRAS vs UFS throughput, 1–25 streams, ±load.
 
-use cras_bench::{quick_mode, write_result};
+use cras_bench::{quick_mode, write_bench, write_result};
 use cras_sim::Duration;
 use cras_workload::fig6::{run, Fig6Config};
 
 fn main() {
-    let cfg = if quick_mode() {
+    let quick = quick_mode();
+    let cfg = if quick {
         Fig6Config {
             max_streams: 13,
             step: 4,
@@ -28,5 +29,7 @@ fn main() {
             );
         }
     }
-    write_result("fig6", &fig.to_json());
+    let json = fig.to_json();
+    write_result("fig6", &json);
+    write_bench("fig6", &json, quick);
 }

@@ -86,7 +86,7 @@ pub struct CacheStats {
 }
 
 /// One cached media chunk.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Frame {
     /// Chunk index within the movie's table.
     index: u32,
@@ -103,7 +103,7 @@ struct Frame {
 }
 
 /// Per-movie cache state: resident frames plus follower bookkeeping.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct MovieCache {
     /// Resident frames keyed by media timestamp.
     frames: BTreeMap<Duration, Frame>,
@@ -116,6 +116,28 @@ struct MovieCache {
     /// Media time below which frames are prefix-pinned (zero = the
     /// title is not in the hot set).
     prefix_limit: Duration,
+}
+
+impl MovieCache {
+    /// Media time below which unpinned, non-prefix frames have expired:
+    /// `max_gap` behind the trailing-most consumer (the slowest
+    /// follower, or the read frontier when none is registered).
+    fn window_cutoff(&self, max_gap: Duration) -> Duration {
+        let tail = self
+            .followers
+            .values()
+            .copied()
+            .min()
+            .unwrap_or(self.frontier)
+            .min(self.frontier);
+        tail.saturating_sub(max_gap)
+    }
+
+    /// Whether nothing keeps the entry alive: no frames, no followers,
+    /// no prefix window.
+    fn is_idle(&self) -> bool {
+        self.frames.is_empty() && self.followers.is_empty() && self.prefix_limit == Duration::ZERO
+    }
 }
 
 /// A global, timestamp-indexed block cache shared by all streams.
@@ -250,7 +272,7 @@ impl IntervalCache {
                         self.prefix_bytes -= f.size;
                     }
                 }
-                self.evict();
+                self.evict(movie);
             }
             return;
         }
@@ -378,7 +400,7 @@ impl IntervalCache {
             }
         }
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.bytes);
-        self.evict();
+        self.evict(movie);
     }
 
     /// Whether the cache holds every chunk of `movie` between `from`
@@ -399,17 +421,24 @@ impl IntervalCache {
 
     /// Registers a cache-dependent stream consuming from `from`: its
     /// cursor is tracked and every already-resident frame at or past
-    /// `from` gains it as a waiter.
+    /// `from` gains it as a waiter. Re-registering a follower further
+    /// ahead moves the movie's window, so that runs eviction.
     pub fn add_follower(&mut self, movie: &str, id: u32, from: Duration) {
         if !self.enabled() {
             return;
         }
         let entry = self.movies.entry(movie.to_string()).or_default();
-        entry.followers.insert(id, from);
+        let moved_ahead = entry
+            .followers
+            .insert(id, from)
+            .is_some_and(|was| was < from);
         for (_, f) in entry.frames.range_mut(from..) {
             if !f.waiters.contains(&id) {
                 f.waiters.push(id);
             }
+        }
+        if moved_ahead {
+            self.evict(movie);
         }
     }
 
@@ -425,7 +454,7 @@ impl IntervalCache {
         for f in m.frames.values_mut() {
             f.waiters.retain(|&w| w != id);
         }
-        self.evict();
+        self.evict(movie);
     }
 
     /// Serves one interval's chunks to follower `id` from the cache.
@@ -436,28 +465,36 @@ impl IntervalCache {
     /// follower's pins on the served frames are released, its cursor
     /// advances past the last chunk, and hit bytes are counted.
     pub fn serve(&mut self, movie: &str, id: u32, chunks: &[Chunk]) -> bool {
-        if chunks.is_empty() {
+        let (Some(first), Some(last)) = (chunks.first(), chunks.last()) else {
             return true;
-        }
+        };
+        let bytes: u64 = chunks.iter().map(|c| c.size as u64).sum();
         let Some(m) = self.movies.get_mut(movie) else {
-            self.stats.miss_bytes += chunks.iter().map(|c| c.size as u64).sum::<u64>();
+            self.stats.miss_bytes += bytes;
             return false;
         };
-        if !chunks.iter().all(|c| m.frames.contains_key(&c.timestamp)) {
-            self.stats.miss_bytes += chunks.iter().map(|c| c.size as u64).sum::<u64>();
-            return false;
-        }
-        let mut served = 0u64;
+        // One walk over the chunks' span: they are in timestamp order, so
+        // each one's frame is the next resident frame at or past it.
+        let mut span = m.frames.range_mut(first.timestamp..=last.timestamp);
+        let mut hit = Vec::with_capacity(chunks.len());
         for c in chunks {
-            let f = m.frames.get_mut(&c.timestamp).expect("checked above");
-            debug_assert_eq!(f.index, c.index, "frame/chunk index mismatch");
-            f.waiters.retain(|&w| w != id);
-            served += c.size as u64;
+            match span.find(|(&ts, _)| ts >= c.timestamp) {
+                Some((&ts, f)) if ts == c.timestamp => {
+                    debug_assert_eq!(f.index, c.index, "frame/chunk index mismatch");
+                    hit.push(f);
+                }
+                _ => {
+                    self.stats.miss_bytes += bytes;
+                    return false;
+                }
+            }
         }
-        let end = chunks.last().expect("non-empty").end_timestamp();
-        m.followers.insert(id, end);
-        self.stats.hit_bytes += served;
-        self.evict();
+        for f in hit {
+            f.waiters.retain(|&w| w != id);
+        }
+        m.followers.insert(id, last.end_timestamp());
+        self.stats.hit_bytes += bytes;
+        self.evict(movie);
         true
     }
 
@@ -474,26 +511,25 @@ impl IntervalCache {
         }
     }
 
-    /// Eviction: drop unpinned frames that fell more than `max_gap`
-    /// behind the movie's trailing-most consumer (the slowest
-    /// registered follower, or the read frontier when no follower is
-    /// registered — chained trailing streams each keep a window behind
-    /// them), then — while still over budget — drop the globally
-    /// oldest (lowest-seq) unpinned frame. Pinned frames are never
-    /// evicted, so a burst of pins may keep the cache transiently over
-    /// budget (recorded in `peak_bytes`).
-    fn evict(&mut self) {
-        // Window expiry per movie. Prefix pins are exempt: they expire
-        // only by demotion from the hot set.
-        for m in self.movies.values_mut() {
-            let tail = m
-                .followers
-                .values()
-                .copied()
-                .min()
-                .unwrap_or(m.frontier)
-                .min(m.frontier);
-            let cutoff = tail.saturating_sub(self.max_gap);
+    /// Eviction after a call that changed `movie`: drop its unpinned
+    /// frames that fell more than `max_gap` behind its trailing-most
+    /// consumer (the slowest registered follower, or the read frontier
+    /// when no follower is registered — chained trailing streams each
+    /// keep a window behind them), then — while still over budget —
+    /// drop the globally oldest (lowest-seq) unpinned frame. Pinned
+    /// frames are never evicted, so a burst of pins may keep the cache
+    /// transiently over budget (recorded in `peak_bytes`).
+    ///
+    /// Window expiry looks at `movie` alone. Every public call leaves no
+    /// movie holding an expirable frame, and a call changes the
+    /// followers, frontier, pins and prefix flags of its own movie only;
+    /// budget eviction removes frames, which never makes another frame
+    /// expirable. So no other movie can have gained an expirable frame.
+    fn evict(&mut self, movie: &str) {
+        // Prefix pins are exempt: they expire only by demotion from the
+        // hot set.
+        if let Some(m) = self.movies.get_mut(movie) {
+            let cutoff = m.window_cutoff(self.max_gap);
             let expired: Vec<Duration> = m
                 .frames
                 .range(..cutoff)
@@ -504,6 +540,9 @@ impl IntervalCache {
                 let f = m.frames.remove(&ts).expect("listed above");
                 self.bytes -= f.size;
                 self.stats.evicted_bytes += f.size;
+            }
+            if m.is_idle() {
+                self.movies.remove(movie);
             }
         }
         // Budget pressure on the unpinned remainder.
@@ -530,10 +569,10 @@ impl IntervalCache {
             let f = m.frames.remove(&ts).expect("victim frame");
             self.bytes -= f.size;
             self.stats.evicted_bytes += f.size;
+            if m.is_idle() {
+                self.movies.remove(&name);
+            }
         }
-        self.movies.retain(|_, m| {
-            !m.frames.is_empty() || !m.followers.is_empty() || m.prefix_limit > Duration::ZERO
-        });
     }
 
     /// Picks the next budget victim under [`EvictPolicy::FollowersPerByte`]:
@@ -588,6 +627,130 @@ mod tests {
 
     fn cache(budget: u64) -> IntervalCache {
         IntervalCache::new(budget, secs(10))
+    }
+
+    /// The invariant touched-movie eviction relies on: no movie holds a
+    /// window-expirable frame, and no idle movie entry is left behind.
+    fn assert_no_expirable(c: &IntervalCache, ctx: &str) {
+        for (name, m) in &c.movies {
+            let cutoff = m.window_cutoff(c.max_gap);
+            let stale = m
+                .frames
+                .range(..cutoff)
+                .find(|(_, f)| f.waiters.is_empty() && !f.prefix);
+            assert!(stale.is_none(), "{ctx}: {name} holds {stale:?}");
+            assert!(!m.is_idle(), "{ctx}: idle entry {name}");
+        }
+    }
+
+    /// The reference eviction: window expiry over every movie, then the
+    /// budget loop, then idle entries dropped.
+    fn sweep_all_movies(c: &mut IntervalCache) {
+        for m in c.movies.values_mut() {
+            let cutoff = m.window_cutoff(c.max_gap);
+            let expired: Vec<Duration> = m
+                .frames
+                .range(..cutoff)
+                .filter(|(_, f)| f.waiters.is_empty() && !f.prefix)
+                .map(|(&ts, _)| ts)
+                .collect();
+            for ts in expired {
+                let f = m.frames.remove(&ts).unwrap();
+                c.bytes -= f.size;
+                c.stats.evicted_bytes += f.size;
+            }
+        }
+        // The budget loop did not change: reach it through `evict`, whose
+        // expiry step only repeats one of the sweeps above.
+        let any = c.movies.keys().next().cloned().unwrap_or_default();
+        c.evict(&any);
+        c.movies.retain(|_, m| !m.is_idle());
+    }
+
+    /// Randomized sequences over several movies, under budget pressure
+    /// with both policies: after every public call the invariant holds,
+    /// and sweeping every movie as well changes no frame, byte or
+    /// counter.
+    #[test]
+    fn touched_movie_eviction_matches_the_all_movie_sweep() {
+        let t = ChunkTable::from_durations_sizes(
+            &(0..40)
+                .map(|i| (Duration::from_millis(500), 400 + 97 * (i % 7)))
+                .collect::<Vec<_>>(),
+        );
+        let span = |a: u64, n: u64| {
+            t.chunks_in(
+                Duration::from_millis(500 * a),
+                Duration::from_millis(500 * (a + n)),
+            )
+        };
+        let names = ["a", "b", "c", "d"];
+        let mut served = 0;
+        let mut evicted = 0;
+        for seed in 0..120 {
+            let mut rng = cras_sim::Rng::new(seed);
+            let mut c = IntervalCache::new(
+                2_000 + 1_000 * rng.below(8),
+                Duration::from_millis(500 * (1 + rng.below(8))),
+            );
+            if seed % 2 == 1 {
+                c.set_policy(EvictPolicy::FollowersPerByte);
+            }
+            for step in 0..250 {
+                let ctx = format!("seed {seed} step {step}");
+                let movie = names[rng.below(4) as usize];
+                let id = rng.below(6) as u32;
+                let a = rng.below(40);
+                let n = 1 + rng.below(6);
+                match rng.below(9) {
+                    0 | 1 => {
+                        // Mostly the leader reading on from the frontier.
+                        let from = match c.frontier(movie) {
+                            Some(f) if rng.chance(0.7) => f.as_millis() / 500,
+                            _ => a,
+                        };
+                        c.insert_posted(movie, span(from, n));
+                    }
+                    2 => c.add_follower(movie, id, Duration::from_millis(500 * a)),
+                    3 | 4 => {
+                        // Mostly from the follower's own cursor.
+                        let from = c
+                            .movies
+                            .get(movie)
+                            .and_then(|m| m.followers.get(&id))
+                            .map_or(a, |cur| cur.as_millis() / 500);
+                        served += c.serve(movie, id, span(from, n)) as u32;
+                    }
+                    5 => {
+                        c.serve_resident(movie, span(a, n));
+                    }
+                    6 => c.remove_follower(movie, id),
+                    7 => {
+                        let limit = [0, 0, 1, 3][rng.below(4) as usize];
+                        c.set_prefix(movie, Duration::from_millis(500 * limit));
+                    }
+                    _ => {
+                        if rng.chance(0.3) {
+                            c.drop_movie(movie);
+                        } else {
+                            c.insert_posted(movie, span(a, n));
+                        }
+                    }
+                }
+                assert_no_expirable(&c, &ctx);
+                let mut want = c.clone();
+                sweep_all_movies(&mut want);
+                assert_eq!(c.movies, want.movies, "{ctx}");
+                assert_eq!(c.bytes, want.bytes, "{ctx}");
+                assert_eq!(c.prefix_bytes, want.prefix_bytes, "{ctx}");
+                assert_eq!(c.stats, want.stats, "{ctx}");
+            }
+            evicted += c.stats.evicted_bytes;
+        }
+        assert!(
+            served > 400 && evicted > 0,
+            "served {served}, evicted {evicted}"
+        );
     }
 
     #[test]

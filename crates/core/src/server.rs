@@ -331,7 +331,6 @@ struct FetchedBatch {
     stream: StreamId,
     chunk_lo: u32,
     chunk_hi: u32,
-    completed_at: Instant,
     /// Whether this batch was served from the interval cache rather
     /// than a disk read (cache batches are not re-inserted).
     from_cache: bool,
@@ -1740,7 +1739,6 @@ impl CrasServer {
                         stream: StreamId(sid),
                         chunk_lo: lo,
                         chunk_hi: hi,
-                        completed_at: now,
                         from_cache: true,
                     });
                     cache_served += 1;
@@ -1817,7 +1815,6 @@ impl CrasServer {
                     stream: StreamId(sid),
                     chunk_lo: lo,
                     chunk_hi: hi,
-                    completed_at: now,
                     from_cache: true,
                 });
                 cache_served += 1;
@@ -2150,7 +2147,7 @@ impl CrasServer {
     /// I/O-done manager: records a completed read. When a stream's whole
     /// batch is in, it is queued for posting at the next tick; returns
     /// `Some((stream, issued_at))` at that moment.
-    pub fn io_done(&mut self, read: ReadId, now: Instant) -> Option<(StreamId, Instant)> {
+    pub fn io_done(&mut self, read: ReadId) -> Option<(StreamId, Instant)> {
         let Some(info) = self.read_info.remove(&read.0) else {
             return None; // Stream closed while in flight.
         };
@@ -2166,10 +2163,8 @@ impl CrasServer {
             stream: batch.stream,
             chunk_lo: batch.chunk_lo,
             chunk_hi: batch.chunk_hi,
-            completed_at: now,
             from_cache: false,
         });
-        let _ = self.done.last().map(|b| b.completed_at); // Recorded for future use.
         Some(result)
     }
 
@@ -2386,7 +2381,7 @@ mod tests {
         // Complete them; chunks post at tick 2 and frame 0 is gettable at
         // media time 0 (real time 1.0 s).
         for r in &rep1.reqs {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         let rep2 = srv.interval_tick(at(1000));
         assert!(rep2.posted_chunks > 0);
@@ -2419,7 +2414,7 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id, at(600));
+            srv.io_done(r.id);
         }
         srv.stop(id, at(700));
         // Further ticks do not fetch beyond the frozen clock.
@@ -2438,12 +2433,12 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id, at(600));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000));
         let r2 = srv.interval_tick(at(1000));
         for r in &r2.reqs {
-            srv.io_done(r.id, at(1100));
+            srv.io_done(r.id);
         }
         let cursor_before = srv.stream(id).prefetch_cursor;
         srv.stop(id, at(1100));
@@ -2475,7 +2470,7 @@ mod tests {
         for k in 0..12 {
             let r = srv.interval_tick(at(k * 500));
             for q in &r.reqs {
-                srv.io_done(q.id, at(k * 500 + 100));
+                srv.io_done(q.id);
             }
         }
         // Stop 10 ms after a post, with that tick's batch in flight:
@@ -2485,7 +2480,7 @@ mod tests {
         let planned_to = srv.stream(id).prefetch_cursor;
         srv.stop(id, at(6010));
         for q in &r.reqs {
-            srv.io_done(q.id, at(6100));
+            srv.io_done(q.id);
         }
         srv.interval_tick(at(6500));
         let s = srv.stream(id);
@@ -2500,7 +2495,7 @@ mod tests {
             .map(|k| {
                 let r = srv.interval_tick(at(k * 500));
                 for q in &r.reqs {
-                    srv.io_done(q.id, at(k * 500 + 100));
+                    srv.io_done(q.id);
                 }
                 r.reqs.len()
             })
@@ -2518,7 +2513,7 @@ mod tests {
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
         for r in &r1.reqs {
-            srv.io_done(r.id, at(600));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000)); // Posts media [0, 0.5).
         assert!(srv.get(id, Duration::ZERO).is_some());
@@ -2545,10 +2540,7 @@ mod tests {
         // Seek while the interval's reads are still in flight.
         srv.seek(id, at(600), Duration::from_secs(5));
         for r in &r1.reqs {
-            assert!(
-                srv.io_done(r.id, at(700)).is_none(),
-                "stale read must be orphaned"
-            );
+            assert!(srv.io_done(r.id).is_none(), "stale read must be orphaned");
         }
         // The next tick posts nothing stale and refetches from 5 s.
         let r2 = srv.interval_tick(at(1000));
@@ -2568,7 +2560,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
                 total_bytes += r.nblocks as u64 * 512;
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // Only ~1 s of data (187.5 KB) ever fetched, rounded to blocks.
@@ -2589,7 +2581,7 @@ mod tests {
         srv.close(id);
         // Completions for the closed stream are ignored.
         for r in &r1.reqs {
-            assert!(srv.io_done(r.id, at(600)).is_none());
+            assert!(srv.io_done(r.id).is_none());
         }
         assert_eq!(srv.stream_count(), 0);
         let rep = srv.interval_tick(at(1000));
@@ -2632,7 +2624,7 @@ mod tests {
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
         for r in &rep.reqs {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         srv.interval_tick(at(1000));
         let r1 = srv.stream_report(id);
@@ -2905,7 +2897,7 @@ mod tests {
         assert_eq!(srv.stats().degraded_reads, remapped.len() as u64);
         // Completing the remapped reads posts the batch: no overrun.
         for r in &remapped {
-            srv.io_done(r.id, at(700));
+            srv.io_done(r.id);
         }
         let rep2 = srv.interval_tick(at(1000));
         assert!(!rep2.overran, "remapped batch met its deadline");
@@ -2981,7 +2973,7 @@ mod tests {
         assert!(rep3.reqs.is_empty(), "stream at cap must not plan");
         // Completing the first batch frees a slot.
         for r in &rep1.reqs {
-            srv.io_done(r.id, at(1600));
+            srv.io_done(r.id);
         }
         let rep4 = srv.interval_tick(at(2000));
         assert!(!rep4.reqs.is_empty(), "completion must resume planning");
@@ -3130,7 +3122,7 @@ mod tests {
         for k in 1..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             if rep.reqs.is_empty() {
                 continue;
@@ -3169,7 +3161,7 @@ mod tests {
         for k in 0..ticks {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         id
@@ -3192,7 +3184,7 @@ mod tests {
             follower_reqs += rep.reqs.iter().filter(|r| r.stream == follower).count();
             cache_served += rep.cache_served_streams;
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3243,7 +3235,7 @@ mod tests {
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // The leader stops: the frontier freezes, the follower drains
@@ -3254,7 +3246,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             follower_reqs += rep.reqs.iter().filter(|r| r.stream == follower).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran, "fallback to disk must not miss deadlines");
         }
@@ -3282,14 +3274,14 @@ mod tests {
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         srv.stop(leader, at(4000));
         for k in 8..24u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // The interval broke with no spindle time left: the follower is
@@ -3343,7 +3335,7 @@ mod tests {
                 let rep = srv.interval_tick(at(k * 500));
                 for r in &rep.reqs {
                     log.push((r.stream, r.volume, r.block, r.nblocks));
-                    srv.io_done(r.id, at(k * 500 + 100));
+                    srv.io_done(r.id);
                 }
                 log.push((a, VolumeId(u32::MAX), rep.posted_chunks as u64, 0));
             }
@@ -3414,7 +3406,7 @@ mod tests {
                 reserved_tick = Some(k);
             }
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3449,7 +3441,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         // Both viewers hold frame 0, fed by one read stream.
@@ -3459,7 +3451,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3479,7 +3471,7 @@ mod tests {
         for k in 0..4u64 {
             let rep = srv.interval_tick(at(k * 500));
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
         }
         srv.close(a);
@@ -3488,7 +3480,7 @@ mod tests {
             let rep = srv.interval_tick(at(k * 500));
             b_reqs += rep.reqs.iter().filter(|r| r.stream == b).count();
             for r in &rep.reqs {
-                srv.io_done(r.id, at(k * 500 + 100));
+                srv.io_done(r.id);
             }
             assert!(!rep.overran);
         }
@@ -3680,7 +3672,7 @@ mod tests {
         // reconstructed, not lost).
         let mut posted = false;
         for r in &rep.reqs {
-            posted |= srv.io_done(r.id, at(700)).is_some();
+            posted |= srv.io_done(r.id).is_some();
         }
         assert!(posted, "batch must complete from surviving reads");
     }
@@ -3699,7 +3691,7 @@ mod tests {
             let rep = srv.interval_tick(at(500 * i));
             assert_eq!(rep.steered_streams, 0, "tick {i} steered");
             for r in &rep.reqs {
-                srv.io_done(r.id, at(500 * i + 100));
+                srv.io_done(r.id);
             }
         }
         assert_eq!(srv.stats().steered_reads, 0);
@@ -3736,7 +3728,7 @@ mod tests {
         // completes: steering never changes what gets delivered.
         let mut posted = false;
         for r in &rep.reqs {
-            posted |= srv.io_done(r.id, at(700)).is_some();
+            posted |= srv.io_done(r.id).is_some();
         }
         assert!(posted, "steered batch must complete");
         // Clearing the load stops further steering.

@@ -127,11 +127,13 @@ impl TimeDrivenBuffer {
 
     /// Discards everything with `timestamp < media_now − J`.
     pub fn discard_obsolete(&mut self, media_now: Duration) {
-        let t_discard = media_now.saturating_sub(self.jitter);
-        // Split off the still-valid suffix; what remains is obsolete.
-        let keep = self.entries.split_off(&t_discard.as_nanos());
-        for (_, e) in std::mem::replace(&mut self.entries, keep) {
-            self.bytes -= e.size as u64;
+        let t_discard = media_now.saturating_sub(self.jitter).as_nanos();
+        // Obsolete chunks are a prefix of the map: pop them off the head.
+        while let Some(head) = self.entries.first_entry() {
+            if *head.key() >= t_discard {
+                break;
+            }
+            self.bytes -= head.remove().size as u64;
             self.stats.discarded += 1;
         }
     }
@@ -264,6 +266,85 @@ mod tests {
         assert_eq!(b.last_timestamp(), Some(ms(231)));
         assert_eq!(b.bytes(), 4 * 6250);
         assert_eq!(b.stats().discarded, 12);
+    }
+
+    /// The reference discard: split the still-valid suffix off and drop
+    /// what remains in front of it.
+    fn discard_by_split(b: &mut TimeDrivenBuffer, media_now: Duration) {
+        let t_discard = media_now.saturating_sub(b.jitter);
+        let keep = b.entries.split_off(&t_discard.as_nanos());
+        for (_, e) in std::mem::replace(&mut b.entries, keep) {
+            b.bytes -= e.size as u64;
+            b.stats.discarded += 1;
+        }
+    }
+
+    fn assert_same(got: &TimeDrivenBuffer, want: &TimeDrivenBuffer, ctx: &str) {
+        assert_eq!(got.entries, want.entries, "{ctx}");
+        assert_eq!(got.bytes, want.bytes, "{ctx}");
+        assert_eq!(got.stats, want.stats, "{ctx}");
+    }
+
+    #[test]
+    fn chunk_exactly_at_t_discard_is_kept() {
+        let mut b = buf(); // J = 100 ms.
+        b.discard_obsolete(ms(500));
+        assert!(b.is_empty(), "discarding an empty buffer is a no-op");
+        b.put(chunk(0, 300, 100, 10), Duration::ZERO);
+        b.put(chunk(1, 400, 100, 10), Duration::ZERO);
+        b.discard_obsolete(ms(500));
+        assert_eq!(b.first_timestamp(), Some(ms(400)));
+        assert_eq!(b.stats().discarded, 1);
+    }
+
+    /// Random interleavings of puts, discards, `has_room` and
+    /// `discard_from` leave head-pop discard with the same entries,
+    /// bytes and counters as the split-off reference. Timestamps, clocks
+    /// and the jitter sit on a 10 ms grid, so chunks land exactly on
+    /// `T_discard` often.
+    #[test]
+    fn head_pop_discard_matches_split_off() {
+        for seed in 0..100 {
+            let mut rng = cras_sim::Rng::new(seed);
+            let jitter = ms(10 * rng.below(6));
+            let mut got = TimeDrivenBuffer::new(20_000, jitter);
+            let mut want = got.clone();
+            let mut next_ts = 0;
+            for step in 0..300 {
+                let ctx = format!("seed {seed} step {step}");
+                let media_now = ms(10 * rng.below(next_ts / 10 + 8));
+                let size = 1 + rng.below(3000) as u32;
+                match rng.below(4) {
+                    0 => {
+                        discard_by_split(&mut want, media_now);
+                        got.discard_obsolete(media_now);
+                    }
+                    1 => {
+                        discard_by_split(&mut want, media_now);
+                        assert_eq!(
+                            got.has_room(size, media_now),
+                            want.has_room(size, media_now),
+                            "{ctx}"
+                        );
+                    }
+                    2 => {
+                        let from = ms(10 * rng.below(next_ts / 10 + 1));
+                        got.discard_from(from);
+                        want.discard_from(from);
+                    }
+                    _ => {
+                        discard_by_split(&mut want, media_now);
+                        if want.has_room(size, media_now) {
+                            let c = chunk(step, next_ts, 10, size);
+                            got.put(c, media_now);
+                            want.put(c, media_now);
+                        }
+                        next_ts += 10 * (1 + rng.below(3));
+                    }
+                }
+                assert_same(&got, &want, &ctx);
+            }
+        }
     }
 
     #[test]

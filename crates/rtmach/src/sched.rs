@@ -13,6 +13,8 @@
 //! share their level in quantum-sized slices, which is exactly what
 //! produces the large delay jitter the paper measures under round-robin.
 
+use std::collections::VecDeque;
+
 use cras_sim::{Duration, Instant};
 
 use crate::thread::{Burst, SchedPolicy, ThreadId, ThreadRec, ThreadState};
@@ -62,7 +64,7 @@ struct Current {
 }
 
 /// Aggregate CPU statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Total time the CPU executed any thread.
     pub busy: Duration,
@@ -72,11 +74,95 @@ pub struct CpuStats {
     pub preemptions: u64,
 }
 
+/// A ready-queue entry. Stamps order entries as one dispatch list
+/// would: tail pushes count up from zero, head pushes count down.
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    stamp: i64,
+    tid: ThreadId,
+}
+
+/// The ready threads: one FIFO per effective priority plus a bitmap of
+/// the non-empty levels, so dispatch costs the same however many
+/// threads are ready.
+struct ReadyQueues {
+    levels: Vec<VecDeque<Queued>>,
+    nonempty: [u64; 4],
+    next_tail: i64,
+    next_head: i64,
+}
+
+impl ReadyQueues {
+    fn new() -> ReadyQueues {
+        ReadyQueues {
+            levels: (0..=u8::MAX).map(|_| VecDeque::new()).collect(),
+            nonempty: [0; 4],
+            next_tail: 0,
+            next_head: -1,
+        }
+    }
+
+    fn mark(&mut self, prio: u8) {
+        self.nonempty[prio as usize / 64] |= 1 << (prio % 64);
+    }
+
+    fn unmark_if_empty(&mut self, prio: u8) {
+        if self.levels[prio as usize].is_empty() {
+            self.nonempty[prio as usize / 64] &= !(1 << (prio % 64));
+        }
+    }
+
+    /// Queues `tid` behind every ready thread of its level.
+    fn push_back(&mut self, prio: u8, tid: ThreadId) {
+        let stamp = self.next_tail;
+        self.next_tail += 1;
+        self.levels[prio as usize].push_back(Queued { stamp, tid });
+        self.mark(prio);
+    }
+
+    /// Queues `tid` ahead of every ready thread of its level.
+    fn push_front(&mut self, prio: u8, tid: ThreadId) {
+        let stamp = self.next_head;
+        self.next_head -= 1;
+        self.levels[prio as usize].push_front(Queued { stamp, tid });
+        self.mark(prio);
+    }
+
+    /// Takes the head of the highest non-empty level.
+    fn pop_highest(&mut self) -> Option<ThreadId> {
+        let word = self.nonempty.iter().rposition(|&w| w != 0)?;
+        let prio = (word * 64 + 63 - self.nonempty[word].leading_zeros() as usize) as u8;
+        let q = self.levels[prio as usize]
+            .pop_front()
+            .expect("marked level");
+        self.unmark_if_empty(prio);
+        Some(q.tid)
+    }
+
+    /// Moves a ready thread whose effective priority changed to the
+    /// place its stamp gives it among the new level's threads.
+    fn requeue(&mut self, tid: ThreadId, from: u8, to: u8) {
+        let level = &mut self.levels[from as usize];
+        let at = level
+            .iter()
+            .position(|q| q.tid == tid)
+            .expect("ready thread not queued");
+        let q = level.remove(at).expect("position in range");
+        self.unmark_if_empty(from);
+        let level = &mut self.levels[to as usize];
+        let at = level.partition_point(|o| o.stamp < q.stamp);
+        level.insert(at, q);
+        self.mark(to);
+    }
+}
+
 /// The simulated CPU.
 pub struct Cpu {
     threads: Vec<ThreadRec>,
-    /// Ready thread ids, dispatch order = max effective prio, then FIFO.
-    ready: Vec<ThreadId>,
+    /// Ready threads by effective priority. Dispatch takes the head of
+    /// the highest level: FIFO among equals, except that a preempted
+    /// thread goes back to the head of its level.
+    ready: ReadyQueues,
     current: Option<Current>,
     next_token: u64,
     stats: CpuStats,
@@ -93,7 +179,7 @@ impl Cpu {
     pub fn new() -> Cpu {
         Cpu {
             threads: Vec::new(),
-            ready: Vec::new(),
+            ready: ReadyQueues::new(),
             current: None,
             next_token: 0,
             stats: CpuStats::default(),
@@ -148,13 +234,18 @@ impl Cpu {
     /// A raised boost on a *ready* thread can preempt the running thread;
     /// the caller must treat the returned [`Resched`] like any other.
     pub fn set_boost(&mut self, tid: ThreadId, boost: Option<u8>, now: Instant) -> Resched {
-        self.threads[tid.0 as usize].boost = boost;
+        let t = &mut self.threads[tid.0 as usize];
+        let old_prio = t.effective_prio();
+        t.boost = boost;
+        let new_prio = t.effective_prio();
         // Re-evaluate only if the boosted thread is ready and would now
         // outrank the running thread.
-        if self.threads[tid.0 as usize].state == ThreadState::Ready {
+        if t.state == ThreadState::Ready {
+            if new_prio != old_prio {
+                self.ready.requeue(tid, old_prio, new_prio);
+            }
             if let Some(cur) = self.current {
                 let cur_prio = self.threads[cur.tid.0 as usize].effective_prio();
-                let new_prio = self.threads[tid.0 as usize].effective_prio();
                 if new_prio > cur_prio {
                     return self.preempt_and_dispatch(now);
                 }
@@ -184,7 +275,7 @@ impl Cpu {
         match t.state {
             ThreadState::Blocked => {
                 t.state = ThreadState::Ready;
-                self.ready.push(tid);
+                self.ready.push_back(t.effective_prio(), tid);
             }
             ThreadState::Ready | ThreadState::Running => {
                 // Extra work queued behind the current burst(s).
@@ -238,15 +329,15 @@ impl Cpu {
                 t.state = ThreadState::Blocked;
             } else {
                 t.state = ThreadState::Ready;
-                self.ready.push(cur.tid);
+                self.ready.push_back(t.effective_prio(), cur.tid);
             }
         } else {
             // Quantum expiry: charge the slice against the burst and
-            // requeue at the tail of the ready list.
+            // requeue at the tail of its level.
             let burst = t.work.front_mut().expect("running thread without work");
             burst.remaining = burst.remaining.saturating_sub(elapsed);
             t.state = ThreadState::Ready;
-            self.ready.push(cur.tid);
+            self.ready.push_back(t.effective_prio(), cur.tid);
         }
 
         SliceOutcome {
@@ -266,26 +357,13 @@ impl Cpu {
         burst.remaining = burst.remaining.saturating_sub(elapsed);
         t.state = ThreadState::Ready;
         // A preempted thread resumes ahead of equal-priority peers.
-        self.ready.insert(0, cur.tid);
+        self.ready.push_front(t.effective_prio(), cur.tid);
         self.dispatch(now)
     }
 
     fn dispatch(&mut self, now: Instant) -> Resched {
         debug_assert!(self.current.is_none());
-        if self.ready.is_empty() {
-            return None;
-        }
-        // Highest effective priority; FIFO among equals (stable scan).
-        let mut best_idx = 0;
-        let mut best_prio = self.threads[self.ready[0].0 as usize].effective_prio();
-        for (i, &tid) in self.ready.iter().enumerate().skip(1) {
-            let p = self.threads[tid.0 as usize].effective_prio();
-            if p > best_prio {
-                best_prio = p;
-                best_idx = i;
-            }
-        }
-        let tid = self.ready.remove(best_idx);
+        let tid = self.ready.pop_highest()?;
         let t = &mut self.threads[tid.0 as usize];
         t.state = ThreadState::Running;
         let burst = t.work.front().expect("ready thread without work");
@@ -547,6 +625,247 @@ mod tests {
         assert_eq!(fp_done.0, 15, "FP preempts the RR level instantly");
         // RR threads still complete all their work afterwards.
         assert_eq!(done.len(), 3);
+    }
+
+    /// The reference dispatcher for the differential test: one ready
+    /// list, scanned in full for the highest effective priority (the
+    /// first wins among equals), with a preempted thread inserted at its
+    /// head. `Cpu` must reproduce it exactly.
+    struct ListCpu {
+        threads: Vec<ThreadRec>,
+        ready: Vec<ThreadId>,
+        current: Option<Current>,
+        next_token: u64,
+        stats: CpuStats,
+    }
+
+    impl ListCpu {
+        fn new() -> ListCpu {
+            ListCpu {
+                threads: Vec::new(),
+                ready: Vec::new(),
+                current: None,
+                next_token: 0,
+                stats: CpuStats::default(),
+            }
+        }
+
+        fn create(&mut self, policy: SchedPolicy) {
+            self.threads.push(ThreadRec::new(String::new(), policy));
+        }
+
+        fn prio(&self, tid: ThreadId) -> u8 {
+            self.threads[tid.0 as usize].effective_prio()
+        }
+
+        fn set_boost(&mut self, tid: ThreadId, boost: Option<u8>, now: Instant) -> Resched {
+            self.threads[tid.0 as usize].boost = boost;
+            if self.threads[tid.0 as usize].state == ThreadState::Ready {
+                if let Some(cur) = self.current {
+                    if self.prio(tid) > self.prio(cur.tid) {
+                        return self.preempt_and_dispatch(now);
+                    }
+                }
+            }
+            None
+        }
+
+        fn wake(&mut self, tid: ThreadId, work: Duration, tag: u64, now: Instant) -> Resched {
+            let t = &mut self.threads[tid.0 as usize];
+            t.work.push_back(Burst {
+                remaining: work,
+                tag,
+            });
+            if t.state != ThreadState::Blocked {
+                return None;
+            }
+            t.state = ThreadState::Ready;
+            self.ready.push(tid);
+            match self.current {
+                None => self.dispatch(now),
+                Some(cur) if self.prio(tid) > self.prio(cur.tid) && now < cur.ends => {
+                    self.preempt_and_dispatch(now)
+                }
+                Some(_) => None,
+            }
+        }
+
+        fn slice_end(&mut self, token: SliceToken, now: Instant) -> SliceOutcome {
+            let Some(cur) = self.current.filter(|c| c.token == token) else {
+                return SliceOutcome::default();
+            };
+            assert_eq!(cur.ends, now);
+            self.current = None;
+            let elapsed = now.since(cur.started);
+            let t = &mut self.threads[cur.tid.0 as usize];
+            t.total_cpu += elapsed;
+            self.stats.busy += elapsed;
+            let mut completed = None;
+            if cur.burst_ends {
+                let burst = t.work.pop_front().unwrap();
+                t.bursts_completed += 1;
+                completed = Some(BurstDone {
+                    tid: cur.tid,
+                    tag: burst.tag,
+                });
+            } else {
+                let burst = t.work.front_mut().unwrap();
+                burst.remaining = burst.remaining.saturating_sub(elapsed);
+            }
+            if t.work.is_empty() {
+                t.state = ThreadState::Blocked;
+            } else {
+                t.state = ThreadState::Ready;
+                self.ready.push(cur.tid);
+            }
+            SliceOutcome {
+                completed,
+                resched: self.dispatch(now),
+            }
+        }
+
+        fn preempt_and_dispatch(&mut self, now: Instant) -> Resched {
+            let cur = self.current.take().unwrap();
+            let elapsed = now.since(cur.started);
+            let t = &mut self.threads[cur.tid.0 as usize];
+            t.total_cpu += elapsed;
+            self.stats.busy += elapsed;
+            self.stats.preemptions += 1;
+            let burst = t.work.front_mut().unwrap();
+            burst.remaining = burst.remaining.saturating_sub(elapsed);
+            t.state = ThreadState::Ready;
+            self.ready.insert(0, cur.tid);
+            self.dispatch(now)
+        }
+
+        fn dispatch(&mut self, now: Instant) -> Resched {
+            let mut best: Option<(usize, u8)> = None;
+            for (i, &tid) in self.ready.iter().enumerate() {
+                let p = self.prio(tid);
+                if best.is_none_or(|(_, b)| p > b) {
+                    best = Some((i, p));
+                }
+            }
+            let tid = self.ready.remove(best?.0);
+            let t = &mut self.threads[tid.0 as usize];
+            t.state = ThreadState::Running;
+            let remaining = t.work.front().unwrap().remaining;
+            let (slice, burst_ends) = match t.policy.quantum() {
+                Some(q) if q < remaining => (q, false),
+                _ => (remaining, true),
+            };
+            self.next_token += 1;
+            let token = SliceToken(self.next_token);
+            let ends = now + slice;
+            self.current = Some(Current {
+                tid,
+                token,
+                started: now,
+                ends,
+                burst_ends,
+            });
+            self.stats.dispatches += 1;
+            Some((ends, token))
+        }
+    }
+
+    /// Randomized sequences of wakes, slice ends and boost changes give
+    /// the same completions, slice tokens and statistics on the
+    /// per-level queues as on the reference single list.
+    #[test]
+    fn ready_queues_match_the_single_list() {
+        let mut totals = CpuStats::default();
+        let mut requeues = 0;
+        for seed in 0..200 {
+            let mut rng = cras_sim::Rng::new(seed);
+            let mut cpu = Cpu::new();
+            let mut model = ListCpu::new();
+            let n = 3 + rng.below(8) as u32;
+            for _ in 0..n {
+                let prio = [1, 3, 5, 9][rng.below(4) as usize];
+                let policy = if rng.chance(0.5) {
+                    fp(prio)
+                } else {
+                    rr(prio, 1 + rng.below(4))
+                };
+                cpu.create("t", policy);
+                model.create(policy);
+            }
+            let mut events: Vec<(Instant, SliceToken)> = Vec::new();
+            let mut now = Instant::ZERO;
+            for step in 0..400u64 {
+                events.sort();
+                let horizon = events.first().map(|e| e.0);
+                if horizon.is_some() && rng.chance(0.4) {
+                    let (t, tok) = events.remove(0);
+                    now = t;
+                    let got = cpu.slice_end(tok, t);
+                    let want = model.slice_end(tok, t);
+                    assert_eq!(got.completed, want.completed, "seed {seed} step {step}");
+                    assert_eq!(got.resched, want.resched, "seed {seed} step {step}");
+                    events.extend(got.resched);
+                } else {
+                    // Any instant up to the next slice boundary, that
+                    // boundary included.
+                    let limit = horizon.map_or(now + ms(5), |h| h.min(now + ms(5)));
+                    now = now + Duration::from_micros(rng.below(limit.since(now).as_micros() + 1));
+                    let tid = ThreadId(rng.below(n as u64) as u32);
+                    let (got, want) = if rng.chance(0.25) {
+                        let boost = rng.chance(0.6).then(|| rng.below(11) as u8);
+                        let base = model.threads[tid.0 as usize].policy.prio();
+                        if cpu.state(tid) == ThreadState::Ready
+                            && boost.map_or(base, |b| b.max(base)) != model.prio(tid)
+                        {
+                            requeues += 1;
+                        }
+                        (
+                            cpu.set_boost(tid, boost, now),
+                            model.set_boost(tid, boost, now),
+                        )
+                    } else {
+                        let work = ms(1 + rng.below(12));
+                        (
+                            cpu.wake(tid, work, step, now),
+                            model.wake(tid, work, step, now),
+                        )
+                    };
+                    assert_eq!(got, want, "seed {seed} step {step}");
+                    events.extend(got);
+                }
+                assert_eq!(cpu.running(), model.current.map(|c| c.tid));
+            }
+            // Drain: every queued burst completes identically.
+            for b in 0..n {
+                let tid = ThreadId(b);
+                let (got, want) = (
+                    cpu.set_boost(tid, None, now),
+                    model.set_boost(tid, None, now),
+                );
+                assert_eq!(got, want);
+                events.extend(got);
+            }
+            while !events.is_empty() {
+                events.sort();
+                let (t, tok) = events.remove(0);
+                let got = cpu.slice_end(tok, t);
+                let want = model.slice_end(tok, t);
+                assert_eq!(got.completed, want.completed, "seed {seed} drain");
+                assert_eq!(got.resched, want.resched, "seed {seed} drain");
+                events.extend(got.resched);
+            }
+            assert_eq!(cpu.stats(), model.stats, "seed {seed}");
+            for (i, t) in model.threads.iter().enumerate() {
+                let tid = ThreadId(i as u32);
+                assert_eq!(cpu.state(tid), ThreadState::Blocked);
+                assert_eq!(cpu.runtime(tid), t.total_cpu);
+                assert_eq!(cpu.bursts_completed(tid), t.bursts_completed);
+            }
+            totals.dispatches += model.stats.dispatches;
+            totals.preemptions += model.stats.preemptions;
+        }
+        // The sequences really exercised preemption and level moves.
+        assert!(totals.preemptions > 1000, "{totals:?}");
+        assert!(requeues > 500, "{requeues}");
     }
 
     #[test]

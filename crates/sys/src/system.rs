@@ -2147,9 +2147,9 @@ impl SysState {
 
     /// The completion half of a CPU burst: the executor has already
     /// ended the slice and re-armed the scheduler; this transition
-    /// routes the interned completion tag.
+    /// routes the interned completion tag and frees its slot.
     fn on_cpu_done(&mut self, tag: u64, now: Instant, acts: &mut Vec<Action>) {
-        match self.tags.resolve(tag) {
+        match self.tags.take(tag) {
             CpuTag::CrasSched => {
                 let rep = self.cras.interval_tick(now);
                 if rep.overran {
@@ -2294,7 +2294,7 @@ impl SysState {
             DiskTag::Cras(rid) => {
                 self.metrics.on_cras_read_done(rid, &done);
                 // I/O-done manager thread: cheap, handled inline.
-                self.cras.io_done(rid, now);
+                self.cras.io_done(rid);
                 self.on_serial_read_settled(rid, &[], acts);
             }
             DiskTag::CrasWrite(_) => {

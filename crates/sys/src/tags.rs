@@ -133,15 +133,21 @@ pub enum CpuTag {
 }
 
 /// Tag arena: the CPU scheduler carries `u64` tags; the system maps them
-/// to [`CpuTag`] values through this arena.
+/// to [`CpuTag`] values through this arena. A completed burst's slot is
+/// freed and reused, so the arena holds one slot per burst in flight.
 #[derive(Default, Debug)]
 pub struct TagArena {
     tags: Vec<CpuTag>,
+    free: Vec<u64>,
 }
 
 impl TagArena {
     /// Interns a tag, returning its id.
     pub fn intern(&mut self, tag: CpuTag) -> u64 {
+        if let Some(id) = self.free.pop() {
+            self.tags[id as usize] = tag;
+            return id;
+        }
         self.tags.push(tag);
         (self.tags.len() - 1) as u64
     }
@@ -153,6 +159,14 @@ impl TagArena {
     /// Panics on an id this arena never issued.
     pub fn resolve(&self, id: u64) -> CpuTag {
         self.tags[id as usize]
+    }
+
+    /// Resolves the id of a completed burst and frees its slot for the
+    /// next [`Self::intern`].
+    pub fn take(&mut self, id: u64) -> CpuTag {
+        let tag = self.resolve(id);
+        self.free.push(id);
+        tag
     }
 }
 
@@ -168,5 +182,29 @@ mod tests {
         assert_eq!(a.resolve(x), CpuTag::CrasSched);
         assert_eq!(a.resolve(y), CpuTag::Hog(3));
         assert_ne!(x, y);
+    }
+
+    #[test]
+    fn arena_stays_bounded_by_bursts_in_flight() {
+        let mut a = TagArena::default();
+        let mut rng = cras_sim::Rng::new(7);
+        let mut in_flight: Vec<(u64, CpuTag)> = Vec::new();
+        let mut peak = 0;
+        for i in 0..100_000u32 {
+            if in_flight.is_empty() || (in_flight.len() < 40 && rng.chance(0.5)) {
+                let tag = CpuTag::Hog(i);
+                in_flight.push((a.intern(tag), tag));
+                peak = peak.max(in_flight.len());
+            } else {
+                let (id, tag) = in_flight.swap_remove(rng.below(in_flight.len() as u64) as usize);
+                assert_eq!(a.take(id), tag);
+            }
+            assert!(
+                a.tags.len() <= peak,
+                "{} slots for {peak} in flight",
+                a.tags.len()
+            );
+        }
+        assert!(peak <= 40);
     }
 }
