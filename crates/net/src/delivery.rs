@@ -32,6 +32,7 @@
 //!    (feeding stream should release its disk share); draining below
 //!    the low watermark emits [`NetEffect::Resume`].
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use cras_sim::{Duration, Instant};
@@ -243,24 +244,21 @@ impl NetDelivery {
         now: Instant,
         out: &mut Vec<NetEffect>,
     ) {
-        if !self.sessions.contains_key(&client) {
-            return;
-        }
         let suppressed = self.multicast && self.member_of.contains_key(&client);
-        let (ord, link_id, claimed_early) = {
-            let s = self.sessions.get_mut(&client).expect("checked above");
-            let ord = s.register(frame, bytes, ts, now);
-            if suppressed {
-                s.stats.frames_suppressed += 1;
-            } else {
-                s.stats.frames_sent += 1;
-            }
-            (ord, s.link, s.early.remove(&frame))
+        let Some(s) = self.sessions.get_mut(&client) else {
+            return;
         };
-        if claimed_early {
+        let ord = s.register(frame, bytes, ts, now);
+        if suppressed {
+            s.stats.frames_suppressed += 1;
+        } else {
+            s.stats.frames_sent += 1;
+        }
+        let link = &mut self.links[s.link as usize];
+        if s.early.remove(&frame) {
             // The group packet landed before this member's decode
             // registered the frame; credit the arrival now.
-            self.note_arrival(client, ord, now, out);
+            note_arrival(s, ord, link.params.latency, now, out);
         }
         if !suppressed {
             let mut members = vec![client];
@@ -269,10 +267,9 @@ impl NetDelivery {
                     members.extend(g.iter().copied());
                 }
             }
-            let deadline = self.sessions[&client].deadline(ts);
+            let deadline = s.deadline(ts);
             if members.len() > 1 {
-                self.links[link_id as usize].stats.multicast_saved_bytes +=
-                    bytes * (members.len() as u64 - 1);
+                link.stats.multicast_saved_bytes += bytes * (members.len() as u64 - 1);
             }
             let pkt = self.next_pkt;
             self.next_pkt += 1;
@@ -287,46 +284,45 @@ impl NetDelivery {
                     remaining_arrivals: 0,
                 },
             );
-            self.links[link_id as usize].push(deadline, pkt, bytes);
-            self.start_link(link_id, now, out);
+            link.push(deadline, pkt, bytes);
+            start_link(link, s.link, &mut self.packets, now, out);
         }
-        let s = self.sessions.get_mut(&client).expect("checked above");
         arm(s, now, out);
     }
 
     /// Handles the link transmitter freeing up.
     pub fn on_link_free(&mut self, link: u32, now: Instant, out: &mut Vec<NetEffect>) {
-        self.links[link as usize].end_send();
-        self.start_link(link, now, out);
+        let l = &mut self.links[link as usize];
+        l.end_send();
+        start_link(l, link, &mut self.packets, now, out);
     }
 
     /// Handles one copy of `pkt` arriving at the clients.
     pub fn on_arrive(&mut self, _link: u32, pkt: u64, now: Instant, out: &mut Vec<NetEffect>) {
-        let Some(p) = self.packets.get_mut(&pkt) else {
+        let Entry::Occupied(mut e) = self.packets.entry(pkt) else {
             return;
         };
+        let p = e.get_mut();
         p.remaining_arrivals -= 1;
         let frame = p.frame;
-        let members = p.members.clone();
-        if p.remaining_arrivals == 0 {
-            self.packets.remove(&pkt);
-        }
+        // The last copy in flight takes the member list with it; only a
+        // duplicate still in flight needs its own copy.
+        let members = if p.remaining_arrivals == 0 {
+            e.remove().members
+        } else {
+            p.members.clone()
+        };
         for m in members {
-            let ord = {
-                let Some(s) = self.sessions.get_mut(&m) else {
-                    continue;
-                };
-                match s.ord_of_frame.get(&frame) {
-                    Some(&o) => o,
-                    None => {
-                        // Decode has not registered the frame on this
-                        // member yet (group packets can outrun the CPU).
-                        s.early.insert(frame);
-                        continue;
-                    }
-                }
+            let Some(s) = self.sessions.get_mut(&m) else {
+                continue;
             };
-            self.note_arrival(m, ord, now, out);
+            let Some(&ord) = s.ord_of_frame.get(&frame) else {
+                // Decode has not registered the frame on this member
+                // yet (group packets can outrun the CPU).
+                s.early.insert(frame);
+                continue;
+            };
+            note_arrival(s, ord, self.links[s.link as usize].params.latency, now, out);
         }
     }
 
@@ -338,7 +334,7 @@ impl NetDelivery {
             let Some(s) = self.sessions.get_mut(&client) else {
                 return;
             };
-            let Some(f) = s.sent.get(&ord) else {
+            let Some(&f) = s.frame(ord) else {
                 return;
             };
             if f.arrived {
@@ -361,8 +357,9 @@ impl NetDelivery {
                 remaining_arrivals: 0,
             },
         );
-        self.links[link_id as usize].push(deadline, pkt, bytes);
-        self.start_link(link_id, now, out);
+        let l = &mut self.links[link_id as usize];
+        l.push(deadline, pkt, bytes);
+        start_link(l, link_id, &mut self.packets, now, out);
     }
 
     /// Handles the playout deadline of `ord` on `client`'s session.
@@ -374,8 +371,7 @@ impl NetDelivery {
             return; // stale event from a superseded chain
         }
         s.chain_armed = false;
-        let f = s.sent.remove(&s.cursor).expect("armed playout lost frame");
-        s.naked.remove(&s.cursor);
+        let f = s.sent.pop_front().expect("armed playout lost frame");
         let late = !f.arrived;
         if late {
             s.stats.late_frames += 1;
@@ -485,91 +481,98 @@ impl NetDelivery {
         s.push_str("]}");
         s
     }
+}
 
-    /// Credits an arrival of ordinal `ord` on `client`, running the
-    /// dup/lateness/NAK/park bookkeeping.
-    fn note_arrival(&mut self, client: u32, ord: u32, now: Instant, out: &mut Vec<NetEffect>) {
-        let latency = {
-            let s = &self.sessions[&client];
-            self.links[s.link as usize].params.latency
-        };
-        let s = self.sessions.get_mut(&client).expect("caller checked");
-        let Some(f) = s.sent.get_mut(&ord) else {
-            // Playout already passed this ordinal (a straggler copy or
-            // a retransmission that lost the race).
-            s.stats.discarded_late += 1;
-            return;
-        };
-        if f.arrived {
-            s.stats.dup_arrivals += 1;
-            return;
-        }
-        f.arrived = true;
-        let bytes = f.bytes;
-        let ts = f.ts;
-        s.buffered += bytes;
-        s.stats.max_buffered = s.stats.max_buffered.max(s.buffered);
-        let deadline = s.deadline(ts);
-        if now > deadline {
-            s.stats.arrived_late += 1;
-            s.stats.lateness_ns += now.since(deadline).as_nanos();
-        }
-        // An arrival above unarrived ordinals exposes a gap: NAK each
-        // missing ordinal once. The NAK takes one propagation delay to
-        // reach the server.
-        let gaps: Vec<u32> = (s.cursor..ord)
-            .filter(|o| s.sent.get(o).is_some_and(|g| !g.arrived) && !s.naked.contains(o))
-            .collect();
-        for o in gaps {
-            s.naked.insert(o);
+/// Credits an arrival of ordinal `ord` on session `s`, running the
+/// dup/lateness/NAK/park bookkeeping. `latency` is the one-way delay of
+/// the session's link, which a NAK takes to reach the server.
+fn note_arrival(
+    s: &mut Session,
+    ord: u32,
+    latency: Duration,
+    now: Instant,
+    out: &mut Vec<NetEffect>,
+) {
+    let Some(f) = s.frame_mut(ord) else {
+        // Playout already passed this ordinal (a straggler copy or a
+        // retransmission that lost the race).
+        s.stats.discarded_late += 1;
+        return;
+    };
+    if f.arrived {
+        s.stats.dup_arrivals += 1;
+        return;
+    }
+    f.arrived = true;
+    let bytes = f.bytes;
+    let ts = f.ts;
+    s.buffered += bytes;
+    s.stats.max_buffered = s.stats.max_buffered.max(s.buffered);
+    let deadline = s.deadline(ts);
+    if now > deadline {
+        s.stats.arrived_late += 1;
+        s.stats.lateness_ns += now.since(deadline).as_nanos();
+    }
+    // An arrival above unarrived ordinals exposes a gap: NAK each
+    // missing ordinal once. Everything below the watermark has arrived
+    // or was NAK'd already, so only the ordinals between it and this
+    // arrival need a look.
+    for o in s.cursor.max(s.nak_hi)..ord {
+        if !s.sent[(o - s.cursor) as usize].arrived {
             s.stats.naks_sent += 1;
             out.push(NetEffect::Nak {
                 at: now + latency,
-                session: client,
+                session: s.id,
                 ord: o,
             });
         }
-        if s.buffered > s.cfg.high_watermark && !s.paused {
-            s.paused = true;
-            s.stats.parks += 1;
-            out.push(NetEffect::Park { session: client });
-        }
-        arm(s, now, out);
     }
+    s.nak_hi = s.nak_hi.max(ord);
+    if s.buffered > s.cfg.high_watermark && !s.paused {
+        s.paused = true;
+        s.stats.parks += 1;
+        out.push(NetEffect::Park { session: s.id });
+    }
+    arm(s, now, out);
+}
 
-    /// Starts the link transmitter on the earliest-deadline queued
-    /// packet, if it is idle and work is waiting. Decides the packet's
-    /// fault fate at transmission time.
-    fn start_link(&mut self, link: u32, now: Instant, out: &mut Vec<NetEffect>) {
-        let l = &mut self.links[link as usize];
-        if l.is_busy() {
-            return;
-        }
-        let Some(pkt) = l.pop() else {
-            return;
-        };
-        let p = self.packets.get_mut(&pkt).expect("queued packet missing");
-        let done = l.begin_send(now, p.bytes, p.enqueued_at);
-        if p.retransmit {
-            l.stats.retransmit_bytes += p.bytes;
-        }
-        out.push(NetEffect::LinkFree { at: done, link });
-        let fault = match &mut l.faults {
-            Some(fi) => fi.decide(),
-            None => NetFault {
-                arrivals: 1,
-                extra_delay: Duration::ZERO,
-            },
-        };
-        if fault.arrivals == 0 {
-            self.packets.remove(&pkt);
-            return;
-        }
-        p.remaining_arrivals = fault.arrivals;
-        let at = done + l.params.latency + fault.extra_delay;
-        for _ in 0..fault.arrivals {
-            out.push(NetEffect::Arrive { at, link, pkt });
-        }
+/// Starts link `id`'s transmitter on the earliest-deadline queued
+/// packet, if it is idle and work is waiting. Decides the packet's fault
+/// fate at transmission time.
+fn start_link(
+    l: &mut PacedLink,
+    id: u32,
+    packets: &mut BTreeMap<u64, Packet>,
+    now: Instant,
+    out: &mut Vec<NetEffect>,
+) {
+    if l.is_busy() {
+        return;
+    }
+    let Some(pkt) = l.pop() else {
+        return;
+    };
+    let p = packets.get_mut(&pkt).expect("queued packet missing");
+    let done = l.begin_send(now, p.bytes, p.enqueued_at);
+    if p.retransmit {
+        l.stats.retransmit_bytes += p.bytes;
+    }
+    out.push(NetEffect::LinkFree { at: done, link: id });
+    let fault = match &mut l.faults {
+        Some(fi) => fi.decide(),
+        None => NetFault {
+            arrivals: 1,
+            extra_delay: Duration::ZERO,
+        },
+    };
+    if fault.arrivals == 0 {
+        packets.remove(&pkt);
+        return;
+    }
+    p.remaining_arrivals = fault.arrivals;
+    let at = done + l.params.latency + fault.extra_delay;
+    for _ in 0..fault.arrivals {
+        out.push(NetEffect::Arrive { at, link: id, pkt });
     }
 }
 
@@ -583,7 +586,7 @@ fn arm(s: &mut Session, now: Instant, out: &mut Vec<NetEffect>) {
     if s.chain_armed {
         return;
     }
-    if let Some(f) = s.sent.get(&s.cursor) {
+    if let Some(f) = s.sent.front() {
         let at = now.max(s.deadline(f.ts));
         s.chain_armed = true;
         out.push(NetEffect::Playout {
@@ -908,6 +911,32 @@ mod tests {
         assert_eq!(s1.stats.frames_played, 1);
         assert_eq!(s2.stats.frames_played, 2);
         assert!(nd.link(link).stats.queued_ns > 0);
+    }
+
+    #[test]
+    fn copy_landing_after_its_playout_is_discarded_not_parked_early() {
+        let mut nd = NetDelivery::new();
+        let link = nd.add_link(LinkParams::fast_lan());
+        nd.attach(1, link, SessionCfg::default());
+        let mut fx = Vec::new();
+        nd.send_frame(1, 0, 6_250, Duration::ZERO, at_ms(0), &mut fx);
+        let pkt = fx
+            .iter()
+            .find_map(|e| match *e {
+                NetEffect::Arrive { pkt, .. } => Some(pkt),
+                _ => None,
+            })
+            .expect("packet transmitted");
+        // The copy is held past the deadline: ordinal 0 plays late.
+        nd.on_playout(1, 0, at_ms(500), &mut fx);
+        nd.on_arrive(link, pkt, at_ms(600), &mut fx);
+        let s = nd.session(1).unwrap();
+        assert_eq!(s.stats.late_frames, 1);
+        // The frame still resolves to its played ordinal, so the copy is
+        // a late discard, not a payload waiting for a decode.
+        assert_eq!(s.stats.discarded_late, 1);
+        assert!(s.early.is_empty());
+        assert_eq!(s.ord_of_frame.get(&0), Some(&0));
     }
 
     #[test]

@@ -32,6 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod delivery;
+#[cfg(test)]
+mod differential;
 pub mod faults;
 pub mod link;
 pub mod session;

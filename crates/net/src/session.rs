@@ -16,7 +16,7 @@
 //! slack is exactly the buffered data — which is also the window the
 //! NAK/retransmit machinery has to repair a loss in.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cras_sim::{Duration, Instant};
 
@@ -47,7 +47,7 @@ impl Default for SessionCfg {
     }
 }
 
-/// One frame handed to the network, keyed by send ordinal.
+/// One frame handed to the network, at its send ordinal.
 #[derive(Clone, Copy, Debug)]
 pub struct SentFrame {
     /// Frame index in the movie's chunk table.
@@ -121,16 +121,23 @@ pub struct Session {
     pub paused: bool,
     /// Arrived-but-unplayed bytes.
     pub buffered: u64,
-    /// Frames handed to the network, by ordinal; pruned at playout.
-    pub sent: BTreeMap<u32, SentFrame>,
-    /// Frame index → ordinal, for delivering group packets; pruned with
-    /// `sent`.
+    /// Frames handed to the network and not yet played: exactly the
+    /// ordinals `cursor..next_ord`, ordinal `o` at index `o - cursor`.
+    /// Registration pushes at the back; playout pops the front. Read it
+    /// through [`Session::frame`].
+    pub(crate) sent: VecDeque<SentFrame>,
+    /// Frame index → ordinal, for delivering group packets. Never
+    /// pruned: a copy that lands after its ordinal played must still
+    /// resolve here, so it counts as `discarded_late` instead of being
+    /// parked in `early` as a payload that outran decode.
     pub ord_of_frame: BTreeMap<u32, u32>,
     /// Group-packet payloads that arrived before this member's own
     /// transition registered the frame (decode still in flight).
     pub early: BTreeSet<u32>,
-    /// Ordinals already NAK'd (one NAK per loss).
-    pub naked: BTreeSet<u32>,
+    /// NAK watermark: every ordinal in `cursor..nak_hi` has arrived or
+    /// has already been NAK'd, so gap detection only scans above it
+    /// (one NAK per loss).
+    pub(crate) nak_hi: u32,
     /// Whether a resume-retry timer is outstanding.
     pub retry_armed: bool,
     /// Counters.
@@ -155,10 +162,10 @@ impl Session {
             chain_armed: false,
             paused: false,
             buffered: 0,
-            sent: BTreeMap::new(),
+            sent: VecDeque::new(),
             ord_of_frame: BTreeMap::new(),
             early: BTreeSet::new(),
-            naked: BTreeSet::new(),
+            nak_hi: 0,
             retry_armed: false,
             stats: SessionStats::default(),
         }
@@ -172,6 +179,19 @@ impl Session {
     /// Panics if the session has no anchor yet.
     pub fn deadline(&self, ts: Duration) -> Instant {
         self.anchor.expect("session has no playout anchor") + ts.mul_f64(self.cfg.drain_scale)
+    }
+
+    /// The unplayed frame at ordinal `ord`, or `None` once playout has
+    /// passed it (or before it is registered).
+    pub fn frame(&self, ord: u32) -> Option<&SentFrame> {
+        let i = ord.checked_sub(self.cursor)?;
+        self.sent.get(i as usize)
+    }
+
+    /// Mutable access to the unplayed frame at ordinal `ord`.
+    pub(crate) fn frame_mut(&mut self, ord: u32) -> Option<&mut SentFrame> {
+        let i = ord.checked_sub(self.cursor)?;
+        self.sent.get_mut(i as usize)
     }
 
     /// Registers a frame handed to the network, assigning the next
@@ -194,15 +214,12 @@ impl Session {
         }
         let ord = self.next_ord;
         self.next_ord += 1;
-        self.sent.insert(
-            ord,
-            SentFrame {
-                frame,
-                bytes,
-                ts,
-                arrived: false,
-            },
-        );
+        self.sent.push_back(SentFrame {
+            frame,
+            bytes,
+            ts,
+            arrived: false,
+        });
         self.ord_of_frame.insert(frame, ord);
         // Frames below this one can no longer register (sends are in
         // frame order), so any early group-packet payloads for them
@@ -268,6 +285,24 @@ mod tests {
         let now = Instant::ZERO + Duration::from_secs(1);
         s.register(300, 1000, Duration::from_secs(10), now);
         assert_eq!(s.anchor, Some(Instant::ZERO));
+    }
+
+    #[test]
+    fn frames_are_indexed_by_ordinal_from_the_cursor() {
+        let mut s = Session::new(1, 0, SessionCfg::default());
+        for f in 10..13 {
+            s.register(f, 1000, Duration::from_millis(33 * f as u64), Instant::ZERO);
+        }
+        assert_eq!(s.frame(1).map(|f| f.frame), Some(11));
+        // Playout pops the front and advances the cursor.
+        s.sent.pop_front();
+        s.cursor += 1;
+        assert!(s.frame(0).is_none());
+        assert_eq!(s.frame(1).map(|f| f.frame), Some(11));
+        assert_eq!(s.frame(2).map(|f| f.frame), Some(12));
+        assert!(s.frame(3).is_none());
+        s.frame_mut(2).unwrap().arrived = true;
+        assert!(s.sent[1].arrived);
     }
 
     #[test]

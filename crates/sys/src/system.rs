@@ -28,7 +28,7 @@ use cras_core::{
     PlacementPolicy, ReadId, ReadReq, StreamId, VolumeExtent, VolumeLoad, PARITY_STRIPE_BYTES,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
-use cras_media::{Movie, StreamProfile};
+use cras_media::{Chunk, Movie, StreamProfile};
 use cras_net::{LinkParams, NetDelivery, NetEffect, NetFaults, SessionCfg};
 use cras_rtmach::port::{FullPolicy, Port};
 use cras_rtmach::{Cpu, SchedPolicy, ThreadId};
@@ -242,6 +242,14 @@ pub struct SysState {
     /// [`IssueMode::SerialVolumes`] only: read ids of the one batch
     /// currently in flight.
     serial_outstanding: HashSet<u64>,
+    /// CRAS stream id → the client it feeds (index = stream id), filled
+    /// by [`System::install_cras_player`]. Stream ids are never reused
+    /// and a player's mode never changes, so this answers exactly what a
+    /// scan of `players` would.
+    client_of_stream: Vec<Option<u32>>,
+    /// Reused effect buffer for the delivery transitions (drained by
+    /// `apply_net_effects` after every call into `net`).
+    net_fx: Vec<NetEffect>,
 }
 
 /// The assembled system: the [`SysState`] transition core plus the thin
@@ -399,6 +407,8 @@ impl System {
                 rebuild_gen: 0,
                 serial_batches: VecDeque::new(),
                 serial_outstanding: HashSet::new(),
+                client_of_stream: Vec::new(),
+                net_fx: Vec::new(),
             },
             journal: Journal::new(),
             actions: Vec::new(),
@@ -963,6 +973,11 @@ impl System {
                 tid,
             ),
         );
+        let slot = stream.0 as usize;
+        if self.state.client_of_stream.len() <= slot {
+            self.state.client_of_stream.resize(slot + 1, None);
+        }
+        self.state.client_of_stream[slot] = Some(id.0);
         let rec = if matches!(self.state.cras.cache_state_of(stream), CacheState::Prefix) {
             JournalRecord::DeferredAdmitted {
                 client: id.0,
@@ -1115,7 +1130,7 @@ impl System {
             .playback_start = start;
         // A join formed by `start` is visible to delivery right away,
         // so the leader's very first packet already carries the member.
-        self.state.net_sync_join(client);
+        self.state.net_sync_join(client, mode);
         let due0 = self
             .players
             .get(&client.0)
@@ -2188,10 +2203,10 @@ impl SysState {
                 // of burning its poll budget against a frozen clock;
                 // the gateway may retry admission for it later via
                 // `System::resume_playback`.
-                for sid in &rep.parked_streams {
-                    let paused = self.players.values_mut().find(
-                        |p| matches!(p.mode, PlayerMode::Cras { stream } if stream.0 == *sid),
-                    );
+                for &sid in &rep.parked_streams {
+                    let paused = self
+                        .stream_client(sid)
+                        .and_then(|c| self.players.get_mut(&c));
                     if let Some(p) = paused {
                         p.paused = true;
                     }
@@ -2199,12 +2214,8 @@ impl SysState {
                 // A drained deferred stream now holds a real disk share:
                 // journal the promotion so crash recovery re-admits it
                 // as an ordinary disk stream from here on.
-                for sid in &rep.deferred_reserved {
-                    let client = self.players.values().find_map(|p| match p.mode {
-                        PlayerMode::Cras { stream } if stream.0 == *sid => Some(p.id.0),
-                        _ => None,
-                    });
-                    if let Some(client) = client {
+                for &sid in &rep.deferred_reserved {
+                    if let Some(client) = self.stream_client(sid) {
                         acts.push(Action::Journal(JournalRecord::DiskShareReserved { client }));
                     }
                 }
@@ -2614,34 +2625,34 @@ impl SysState {
                 ev: Event::PlayerFrame(client),
             });
         }
-        if self.net.has_session(client.0) {
-            self.net_deliver_frame(client, frame, now, acts);
+        if !self.net.has_session(client.0) {
+            return;
         }
+        let mode = player.mode;
+        let Some(chunk) = player.table.get(frame).copied() else {
+            return;
+        };
+        self.net_deliver_frame(client, mode, frame, chunk, now, acts);
     }
 
     // ----- delivery subsystem transitions (DESIGN §18) ----------------
+
+    /// The client whose CRAS player is fed by stream `sid`.
+    fn stream_client(&self, sid: u32) -> Option<u32> {
+        self.client_of_stream.get(sid as usize).copied().flatten()
+    }
 
     /// Aligns `client`'s multicast membership with the cache manager's
     /// join state, resolving the leader stream to its client. Called at
     /// playback start (so the group exists before the leader's first
     /// transmission — no startup NAK repair) and again on every decode
-    /// (joins dissolve when a member parks or seeks away).
-    fn net_sync_join(&mut self, client: ClientId) {
-        if !self.net.has_session(client.0) {
-            return;
-        }
-        let Some(p) = self.players.get(&client.0) else {
-            return;
-        };
-        let leader_client = match p.mode {
+    /// (joins dissolve when a member parks or seeks away). A client
+    /// without a delivery session is never a group member, so for it
+    /// this is a no-op.
+    fn net_sync_join(&mut self, client: ClientId, mode: PlayerMode) {
+        let leader_client = match mode {
             PlayerMode::Cras { stream } => match self.cras.cache_state_of(stream) {
-                CacheState::Joined { leader } => self
-                    .players
-                    .iter()
-                    .find(
-                        |(_, q)| matches!(q.mode, PlayerMode::Cras { stream: s } if s.0 == leader),
-                    )
-                    .map(|(&cid, _)| cid),
+                CacheState::Joined { leader } => self.stream_client(leader),
                 _ => None,
             },
             PlayerMode::Ufs { .. } => None,
@@ -2656,59 +2667,54 @@ impl SysState {
     fn net_deliver_frame(
         &mut self,
         client: ClientId,
+        mode: PlayerMode,
         frame: u32,
+        chunk: Chunk,
         now: Instant,
         acts: &mut Vec<Action>,
     ) {
-        let Some(p) = self.players.get(&client.0) else {
-            return;
-        };
-        let Some(chunk) = p.table.get(frame).copied() else {
-            return;
-        };
-        self.net_sync_join(client);
-        let mut fx = Vec::new();
-        self.net.send_frame(
-            client.0,
-            frame,
-            chunk.size as u64,
-            chunk.timestamp,
-            now,
-            &mut fx,
-        );
-        self.apply_net_effects(fx, now, acts);
+        self.net_sync_join(client, mode);
+        self.with_net_fx(now, acts, |net, fx| {
+            net.send_frame(client.0, frame, chunk.size as u64, chunk.timestamp, now, fx)
+        });
     }
 
     fn on_net_link_free(&mut self, link: u32, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_link_free(link, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.with_net_fx(now, acts, |net, fx| net.on_link_free(link, now, fx));
     }
 
     fn on_net_arrive(&mut self, link: u32, pkt: u64, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_arrive(link, pkt, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.with_net_fx(now, acts, |net, fx| net.on_arrive(link, pkt, now, fx));
     }
 
     fn on_net_nak(&mut self, client: ClientId, ord: u32, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_nak(client.0, ord, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.with_net_fx(now, acts, |net, fx| net.on_nak(client.0, ord, now, fx));
     }
 
     fn on_net_playout(&mut self, client: ClientId, ord: u32, now: Instant, acts: &mut Vec<Action>) {
-        let mut fx = Vec::new();
-        self.net.on_playout(client.0, ord, now, &mut fx);
-        self.apply_net_effects(fx, now, acts);
+        self.with_net_fx(now, acts, |net, fx| net.on_playout(client.0, ord, now, fx));
+    }
+
+    /// Runs one delivery transition against the reused effect buffer,
+    /// then applies what it emitted.
+    fn with_net_fx(
+        &mut self,
+        now: Instant,
+        acts: &mut Vec<Action>,
+        step: impl FnOnce(&mut NetDelivery, &mut Vec<NetEffect>),
+    ) {
+        let mut fx = std::mem::take(&mut self.net_fx);
+        step(&mut self.net, &mut fx);
+        self.apply_net_effects(&mut fx, now, acts);
+        self.net_fx = fx;
     }
 
     /// Maps the delivery machine's requested effects onto the §14 action
     /// seam: timers become scheduled events, park/resume requests run
     /// their stream-layer transitions inline (they emit further actions
     /// but never further net effects, so this does not recurse).
-    fn apply_net_effects(&mut self, fx: Vec<NetEffect>, now: Instant, acts: &mut Vec<Action>) {
-        for e in fx {
+    fn apply_net_effects(&mut self, fx: &mut Vec<NetEffect>, now: Instant, acts: &mut Vec<Action>) {
+        for e in fx.drain(..) {
             match e {
                 NetEffect::LinkFree { at, link } => acts.push(Action::Schedule {
                     at,
@@ -3537,5 +3543,128 @@ mod tests {
         );
         assert_eq!(s.players[&c.0].stats.frames_dropped, 0);
         assert_eq!(s.metrics.overruns, 0);
+    }
+
+    /// The full `players` scan that `client_of_stream` replaced.
+    fn scanned_client(s: &SysState, sid: u32) -> Option<u32> {
+        s.players
+            .iter()
+            .find(|(_, p)| matches!(p.mode, PlayerMode::Cras { stream } if stream.0 == sid))
+            .map(|(&c, _)| c)
+    }
+
+    /// Every stream id, up to two past the last one indexed, resolves
+    /// through the index exactly as through the scan.
+    fn assert_index_matches_scan(s: &SysState, phase: &str) {
+        let top = s.client_of_stream.len() as u32 + 2;
+        for sid in 0..top {
+            assert_eq!(
+                s.stream_client(sid),
+                scanned_client(s, sid),
+                "{phase}: stream {sid}"
+            );
+        }
+        for p in s.players.values() {
+            if let PlayerMode::Cras { stream } = p.mode {
+                assert_eq!(s.stream_client(stream.0), Some(p.id.0), "{phase}");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_client_index_agrees_with_a_player_scan() {
+        let mut cfg = SysConfig::default();
+        cfg.seed = 0x1D3;
+        cfg.server.cache_budget = 64 << 20;
+        cfg.server.join_window = Duration::from_secs(1);
+        cfg.server.prefix_secs = Duration::from_secs(2);
+        cfg.server.hot_set = 1;
+        // No interval-cache fallback: a drained prefix needs a disk share.
+        cfg.server.max_cache_gap = Duration::from_millis(500);
+        let mut s = sys(cfg);
+        let hit = s.record_movie("hit.mov", StreamProfile::mpeg1(), 30.0);
+        let solo = s.record_movie("solo.mov", StreamProfile::mpeg1(), 30.0);
+        let fillers: Vec<Movie> = (0..64)
+            .map(|i| s.record_movie(&format!("f{i}.mov"), StreamProfile::mpeg1(), 30.0))
+            .collect();
+        let link = s.net_add_link(LinkParams::ethernet_10mbps());
+        s.net_set_multicast(true);
+        let attach = |s: &mut System, c: ClientId, cfg: SessionCfg| {
+            s.net_attach(c, link, cfg);
+            s.start_playback(c);
+        };
+        assert_index_matches_scan(&s, "empty");
+
+        // A popular title: one extra open makes it the hot set.
+        let bump = s.add_cras_player(&hit, 1).unwrap();
+        s.close_playback(bump);
+        // A batched-join audience with multicast delivery, and a slow
+        // client whose backpressure parks its stream.
+        for _ in 0..3 {
+            let c = s.add_cras_player(&hit, 1).unwrap();
+            attach(&mut s, c, SessionCfg::default());
+        }
+        let slow = s.add_cras_player(&solo, 1).unwrap();
+        let slow_cfg = SessionCfg {
+            high_watermark: 128 << 10,
+            low_watermark: 64 << 10,
+            drain_scale: 1.25,
+            ..SessionCfg::default()
+        };
+        attach(&mut s, slow, slow_cfg);
+        s.run_for(Duration::from_secs(4));
+        assert!(s.cras.cache().stats().joined_streams > 0, "no join formed");
+        assert!(s.metrics.net_parks > 0, "backpressure never parked");
+        assert_index_matches_scan(&s, "joined");
+
+        // A prefix-deferred viewer that drains into a disk share.
+        let d1 = s.add_cras_player(&hit, 1).unwrap();
+        let PlayerMode::Cras { stream } = s.players[&d1.0].mode else {
+            unreachable!("CRAS player")
+        };
+        assert!(matches!(s.cras.cache_state_of(stream), CacheState::Prefix));
+        attach(&mut s, d1, SessionCfg::default());
+        s.run_for(Duration::from_secs(4));
+        assert!(
+            s.journal().entries().iter().any(|(_, r)| matches!(
+                r,
+                JournalRecord::DiskShareReserved { client } if *client == d1.0
+            )),
+            "deferred viewer never reserved at drain"
+        );
+        assert_index_matches_scan(&s, "deferred drained");
+
+        // Fill the spindle, then a deferred viewer whose drain finds no
+        // capacity parks.
+        let mut filled = Vec::new();
+        for m in &fillers {
+            match s.add_cras_player(m, 1) {
+                Ok(c) => {
+                    s.start_playback(c);
+                    filled.push(c);
+                }
+                Err(_) => break,
+            }
+        }
+        assert!(filled.len() < fillers.len(), "spindle never filled");
+        let d2 = s.add_cras_player(&hit, 1).unwrap();
+        attach(&mut s, d2, SessionCfg::default());
+        s.run_for(Duration::from_secs(4));
+        assert!(s.players[&d2.0].paused, "deferred viewer never parked");
+        assert_index_matches_scan(&s, "parked");
+        for c in filled {
+            s.close_playback(c);
+        }
+        assert!(s.retry_parked(d2));
+        s.run_for(Duration::from_secs(2));
+        assert_index_matches_scan(&s, "resumed");
+
+        // Recovery rebuilds the index through the re-admissions.
+        let journal = s.journal().clone();
+        let (mut r, remap) = System::recover(cfg, &journal, s.now());
+        assert!(!remap.is_empty());
+        assert_index_matches_scan(&r, "recovered");
+        r.run_for(Duration::from_secs(4));
+        assert_index_matches_scan(&r, "after recovery");
     }
 }
