@@ -61,7 +61,8 @@ pub use clock::LogicalClock;
 pub use deploy::DeployMode;
 pub use fifo::FifoBuffer;
 pub use placement::{
-    on_volume, volume_shares, ParityGeometry, PlacementPolicy, VolumeExtent, PARITY_STRIPE_BYTES,
+    on_volume, volume_shares, ExtentMap, ParityGeometry, PlacementPolicy, VolumeExtent,
+    PARITY_STRIPE_BYTES,
 };
 pub use server::{
     CrasServer, IntervalReport, ReadId, ReadReq, ServerConfig, ServerStats, VolumeLoad,

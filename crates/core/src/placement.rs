@@ -221,6 +221,54 @@ pub fn on_volume(volume: VolumeId, extents: Vec<Extent>) -> Vec<VolumeExtent> {
         .collect()
 }
 
+/// A file's extent map as retrieval reads it: extents in ascending,
+/// non-overlapping file-offset order, with the mapped-byte total
+/// computed once, when the map is built.
+///
+/// The order is what lets [`Stream::runs_in`](crate::Stream::runs_in)
+/// binary-search for the first extent a byte range touches instead of
+/// walking the whole title.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExtentMap {
+    extents: Vec<VolumeExtent>,
+    mapped: u64,
+}
+
+impl ExtentMap {
+    /// Wraps `extents`, checking their order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an extent starts before the previous one ends.
+    pub fn new(extents: Vec<VolumeExtent>) -> ExtentMap {
+        for w in extents.windows(2) {
+            let (a, b) = (&w[0].extent, &w[1].extent);
+            assert!(
+                a.file_offset + a.bytes() <= b.file_offset,
+                "extent map out of order: [{}, {}) then {}",
+                a.file_offset,
+                a.file_offset + a.bytes(),
+                b.file_offset
+            );
+        }
+        let mapped = extents.iter().map(|ve| ve.extent.bytes()).sum();
+        ExtentMap { extents, mapped }
+    }
+
+    /// Total bytes the extents map (block-rounded).
+    pub fn mapped(&self) -> u64 {
+        self.mapped
+    }
+}
+
+impl std::ops::Deref for ExtentMap {
+    type Target = [VolumeExtent];
+
+    fn deref(&self) -> &[VolumeExtent] {
+        &self.extents
+    }
+}
+
 /// Fraction of a movie's *logical* bytes on each of `volumes` disks.
 ///
 /// This is the weight vector the per-volume admission test scales each
@@ -443,5 +491,34 @@ mod tests {
         let sum: f64 = shares.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert!(shares[1] > shares[2] && shares[2] > shares[0]);
+    }
+
+    #[test]
+    fn extent_map_totals_its_extents_once() {
+        let m = ExtentMap::new(on_volume(
+            VolumeId(0),
+            vec![ext(0, 100, 16), ext(8192, 900, 3)],
+        ));
+        assert_eq!(m.mapped(), 19 * 512);
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "extent map out of order")]
+    fn extent_map_rejects_descending_offsets() {
+        ExtentMap::new(on_volume(
+            VolumeId(0),
+            vec![ext(8192, 900, 16), ext(0, 100, 16)],
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "extent map out of order")]
+    fn extent_map_rejects_overlapping_extents() {
+        // The first extent's 17 blocks run one block past 8192.
+        ExtentMap::new(on_volume(
+            VolumeId(0),
+            vec![ext(0, 100, 17), ext(8192, 900, 16)],
+        ));
     }
 }

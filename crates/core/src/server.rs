@@ -47,7 +47,7 @@ use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams, 
 use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
-use crate::placement::{on_volume, volume_shares, PlacementPolicy, VolumeExtent};
+use crate::placement::{on_volume, volume_shares, ExtentMap, PlacementPolicy, VolumeExtent};
 use crate::stream::{CacheState, ParityState, Stream, StreamId};
 use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
 
@@ -1090,8 +1090,8 @@ impl CrasServer {
                 id,
                 name: name.to_string(),
                 table,
-                extents,
-                mirror,
+                extents: ExtentMap::new(extents),
+                mirror: mirror.map(ExtentMap::new),
                 parity,
                 params,
                 shares,
@@ -1837,6 +1837,9 @@ impl CrasServer {
                     + ext.lag.max(0.0) * self.admissions[v].disk_params().transfer_rate
             })
             .collect();
+        // Per-volume bytes of one candidate steering fan-out, reused
+        // across the tick.
+        let mut fan = vec![0u64; self.cfg.volumes];
         let mut degraded_streams = 0usize;
         let mut steered_streams = 0usize;
         let mut lost_streams = 0usize;
@@ -1847,7 +1850,7 @@ impl CrasServer {
                 // The disk is behind for this stream; do not pile on.
                 continue;
             }
-            let (runs, recon, lo, hi, params, active_shares, degraded, steered) = {
+            let (runs, recon, lo, hi, degraded, steered) = {
                 let s = self.streams.get_mut(&sid).expect("iterating keys");
                 if !s.clock.is_running() {
                     continue;
@@ -1904,7 +1907,7 @@ impl CrasServer {
                     };
                     degraded = map_idx == 1 && !p_ok;
                 }
-                let map: &[VolumeExtent] = match map_idx {
+                let map: &ExtentMap = match map_idx {
                     0 => &s.extents,
                     _ => s.mirror.as_ref().expect("mirror chosen above"),
                 };
@@ -1971,7 +1974,7 @@ impl CrasServer {
                                 &self.failed,
                             )
                             .and_then(|rs| {
-                                let mut fan = vec![0u64; self.cfg.volumes];
+                                fan.fill(0);
                                 for fr in &rs {
                                     fan[fr.volume.index()] += fr.nblocks as u64 * 512;
                                 }
@@ -1999,23 +2002,17 @@ impl CrasServer {
                 // A mirrored stream's whole load lands on the chosen
                 // replica's volume this interval; non-mirrored streams
                 // keep their static per-volume shares.
-                let active_shares = if s.mirror.is_some() {
-                    let mut v = vec![0.0; self.cfg.volumes];
-                    v[Stream::home_volume(map).index()] = 1.0;
-                    v
+                let params = s.params;
+                if s.mirror.is_some() {
+                    active[Stream::home_volume(map).index()].push(params);
                 } else {
-                    s.shares.clone()
-                };
-                (
-                    runs,
-                    recon,
-                    lo,
-                    hi,
-                    s.params,
-                    active_shares,
-                    degraded,
-                    steered,
-                )
+                    for (v, share) in s.shares.iter().enumerate() {
+                        if *share > 0.0 {
+                            active[v].push(StreamParams::new(params.rate * share, params.chunk));
+                        }
+                    }
+                }
+                (runs, recon, lo, hi, degraded, steered)
             };
             if degraded {
                 degraded_streams += 1;
@@ -2028,11 +2025,6 @@ impl CrasServer {
             }
             for r in &recon {
                 planned[r.volume.index()] += r.nblocks as u64 * 512;
-            }
-            for (v, share) in active_shares.iter().enumerate() {
-                if *share > 0.0 {
-                    active[v].push(StreamParams::new(params.rate * share, params.chunk));
-                }
             }
             if runs.is_empty() && recon.is_empty() {
                 // Every run was dropped as unreconstructible: no batch to
@@ -3579,7 +3571,7 @@ mod tests {
                 }]
             })
             .collect();
-        (table, extents, ParityState { geom, parity_maps })
+        (table, extents, ParityState::new(geom, parity_maps))
     }
 
     #[test]

@@ -9,7 +9,7 @@ use cras_sim::Duration;
 
 use crate::admission::StreamParams;
 use crate::clock::LogicalClock;
-use crate::placement::{volume_shares, ParityGeometry, VolumeExtent};
+use crate::placement::{volume_shares, ExtentMap, ParityGeometry, VolumeExtent};
 use crate::tdbuffer::TimeDrivenBuffer;
 
 /// Identifies an open stream within one CRAS server.
@@ -104,7 +104,21 @@ pub struct ParityState {
     /// volume's parity file. `file_offset` here is the offset within
     /// the *parity file*: row `r`'s unit starts at
     /// `geom.parity_file_index(r) * geom.stripe_bytes`.
-    pub parity_maps: Vec<Vec<VolumeExtent>>,
+    pub parity_maps: Vec<ExtentMap>,
+}
+
+impl ParityState {
+    /// Builds the state from the band's parity-file maps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a map is out of order (see [`ExtentMap::new`]).
+    pub fn new(geom: ParityGeometry, parity_maps: Vec<Vec<VolumeExtent>>) -> ParityState {
+        ParityState {
+            geom,
+            parity_maps: parity_maps.into_iter().map(ExtentMap::new).collect(),
+        }
+    }
 }
 
 /// Server-side state of one open stream.
@@ -118,11 +132,11 @@ pub struct Stream {
     pub table: ChunkTable,
     /// Extent map resolved at open time — CRAS never touches UFS metadata
     /// during retrieval. Each extent names the volume it lives on.
-    pub extents: Vec<VolumeExtent>,
+    pub extents: ExtentMap,
     /// Mirror replica's extent map (same logical bytes on another
     /// volume), when the movie was placed with
     /// [`PlacementPolicy::Mirrored`](crate::PlacementPolicy::Mirrored).
-    pub mirror: Option<Vec<VolumeExtent>>,
+    pub mirror: Option<ExtentMap>,
     /// Rotating-parity layout, when the movie was placed with
     /// [`PlacementPolicy::Parity`](crate::PlacementPolicy::Parity).
     /// Mutually exclusive with `mirror`.
@@ -157,7 +171,7 @@ impl Stream {
         self.shares = match &self.mirror {
             None => volume_shares(&self.extents, volumes),
             Some(m) => {
-                let mut all = self.extents.clone();
+                let mut all = self.extents.to_vec();
                 all.extend(m.iter().cloned());
                 volume_shares(&all, volumes)
             }
@@ -196,7 +210,7 @@ impl Stream {
 
     /// The stream's replica extent maps: the primary map first, then the
     /// mirror map if the movie is mirrored.
-    pub fn replica_maps(&self) -> impl Iterator<Item = &Vec<VolumeExtent>> {
+    pub fn replica_maps(&self) -> impl Iterator<Item = &ExtentMap> {
         std::iter::once(&self.extents).chain(self.mirror.iter())
     }
 
@@ -216,17 +230,24 @@ impl Stream {
     /// # Panics
     ///
     /// Panics if the range is empty or extends past the mapped file.
-    pub fn runs_in(extents: &[VolumeExtent], lo: u64, hi: u64) -> Vec<(u64, VolumeRun)> {
+    pub fn runs_in(extents: &ExtentMap, lo: u64, hi: u64) -> Vec<(u64, VolumeRun)> {
         assert!(lo < hi, "empty byte range");
-        let mapped: u64 = extents.iter().map(|e| e.extent.bytes()).sum();
+        let mapped = extents.mapped();
         assert!(
             hi <= mapped,
             "byte range beyond extent map: {hi} > {mapped}"
         );
+        // The map is in ascending, non-overlapping file order, so the
+        // extents ending at or before `lo` form a prefix, and the walk
+        // can stop at the first extent starting at or after `hi`.
+        let first = extents.partition_point(|ve| ve.extent.file_offset + ve.extent.bytes() <= lo);
         let mut runs: Vec<(u64, VolumeRun)> = Vec::new();
-        for ve in extents {
+        for ve in &extents[first..] {
             let e = &ve.extent;
             let e_lo = e.file_offset;
+            if e_lo >= hi {
+                break;
+            }
             let e_hi = e.file_offset + e.bytes();
             let a = lo.max(e_lo);
             let b = hi.min(e_hi);
@@ -324,7 +345,7 @@ impl Stream {
     /// required read would itself land on `exclude` or a volume flagged
     /// in `failed` — a second failure in the band, the range is lost.
     pub fn parity_recon_runs(
-        extents: &[VolumeExtent],
+        extents: &ExtentMap,
         parity: &ParityState,
         lo: u64,
         hi: u64,
@@ -400,7 +421,7 @@ impl Stream {
     /// the fan-out would itself need `avoid` or a failed volume, in
     /// which case the caller must keep the direct read.
     pub fn steer_recon_runs(
-        extents: &[VolumeExtent],
+        extents: &ExtentMap,
         parity: &ParityState,
         lo: u64,
         hi: u64,
@@ -426,7 +447,7 @@ mod tests {
             id: StreamId(0),
             name: "t".into(),
             table,
-            extents,
+            extents: ExtentMap::new(extents),
             mirror: None,
             parity: None,
             params: StreamParams::new(187_500.0, 6_250.0),
@@ -546,7 +567,10 @@ mod tests {
 
     #[test]
     fn tagged_runs_carry_logical_offsets() {
-        let extents = on_volume(VolumeId(0), vec![ext(0, 1000, 16), ext(8192, 5000, 16)]);
+        let extents = ExtentMap::new(on_volume(
+            VolumeId(0),
+            vec![ext(0, 1000, 16), ext(8192, 5000, 16)],
+        ));
         let runs = Stream::runs_in(&extents, 4096, 12288);
         assert_eq!(
             runs,
@@ -563,8 +587,11 @@ mod tests {
     fn logical_range_remaps_through_a_differently_fragmented_mirror() {
         // The same logical bytes map through either replica; fragment
         // boundaries differ but total coverage is identical.
-        let primary = on_volume(VolumeId(0), vec![ext(0, 1000, 32)]);
-        let mirror = on_volume(VolumeId(1), vec![ext(0, 70, 16), ext(8192, 300, 16)]);
+        let primary = ExtentMap::new(on_volume(VolumeId(0), vec![ext(0, 1000, 32)]));
+        let mirror = ExtentMap::new(on_volume(
+            VolumeId(1),
+            vec![ext(0, 70, 16), ext(8192, 300, 16)],
+        ));
         let (lo, hi) = (4096, 12288);
         let p_blocks: u32 = Stream::runs_in(&primary, lo, hi)
             .iter()
@@ -579,7 +606,10 @@ mod tests {
     #[test]
     fn mirrored_stream_shares_charge_both_replicas() {
         let mut s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 64)]));
-        s.mirror = Some(on_volume(VolumeId(1), vec![ext(0, 4000, 64)]));
+        s.mirror = Some(ExtentMap::new(on_volume(
+            VolumeId(1),
+            vec![ext(0, 4000, 64)],
+        )));
         s.compute_shares(2);
         assert_eq!(s.shares, vec![1.0, 1.0]);
     }
@@ -593,7 +623,7 @@ mod tests {
         group: u32,
         total: u64,
         movie: Option<&[u8]>,
-    ) -> (Vec<VolumeExtent>, ParityState, Vec<Vec<u8>>) {
+    ) -> (ExtentMap, ParityState, Vec<Vec<u8>>) {
         use crate::placement::{ParityGeometry, PARITY_STRIPE_BYTES};
         let sb = PARITY_STRIPE_BYTES;
         let geom = ParityGeometry::new(0, group, sb, total);
@@ -657,13 +687,17 @@ mod tests {
                 disks[pv.index()][at..at + p.len()].copy_from_slice(&p);
             }
         }
-        (extents, ParityState { geom, parity_maps }, disks)
+        (
+            ExtentMap::new(extents),
+            ParityState::new(geom, parity_maps),
+            disks,
+        )
     }
 
     #[test]
     fn parity_stream_shares_charge_worst_case_degraded() {
         let (extents, ps, _) = synthetic_parity(4, 1 << 20, None);
-        let mut s = stream_with_extents(extents);
+        let mut s = stream_with_extents(extents.to_vec());
         s.parity = Some(ps);
         s.compute_shares(4);
         assert_eq!(s.shares, vec![0.5; 4]);
@@ -809,5 +843,238 @@ mod tests {
     fn empty_range_panics() {
         let s = stream_with_extents(on_volume(VolumeId(0), vec![ext(0, 1000, 16)]));
         s.byte_range_to_runs(5, 5);
+    }
+
+    /// The full-scan lookup [`Stream::runs_in`] replaced: sums and walks
+    /// every extent of the map on each call. Reference for the
+    /// differential tests below.
+    fn scan_runs_in(extents: &[VolumeExtent], lo: u64, hi: u64) -> Vec<(u64, VolumeRun)> {
+        assert!(lo < hi, "empty byte range");
+        let mapped: u64 = extents.iter().map(|e| e.extent.bytes()).sum();
+        assert!(hi <= mapped, "byte range beyond extent map");
+        let mut runs: Vec<(u64, VolumeRun)> = Vec::new();
+        for ve in extents {
+            let e = &ve.extent;
+            let (e_lo, e_hi) = (e.file_offset, e.file_offset + e.bytes());
+            let (a, b) = (lo.max(e_lo), hi.min(e_hi));
+            if a >= b {
+                continue;
+            }
+            let (rel_lo, rel_hi) = ((a - e_lo) / 512, (b - e_lo).div_ceil(512));
+            let block = e.disk_block + rel_lo;
+            let nblocks = (rel_hi - rel_lo) as u32;
+            match runs.last_mut() {
+                Some((_, last))
+                    if last.volume == ve.volume && last.block + last.nblocks as u64 == block =>
+                {
+                    last.nblocks += nblocks;
+                }
+                _ => runs.push((e_lo + rel_lo * 512, vrun(ve.volume.0, block, nblocks))),
+            }
+        }
+        runs
+    }
+
+    /// [`Stream::parity_recon_runs`] with every map lookup done by
+    /// [`scan_runs_in`].
+    fn scan_parity_recon(
+        extents: &[VolumeExtent],
+        parity: &ParityState,
+        lo: u64,
+        hi: u64,
+        exclude: VolumeId,
+        failed: &[bool],
+    ) -> Option<Vec<VolumeRun>> {
+        let geom = &parity.geom;
+        let (g, sb) = (geom.group as u64, geom.stripe_bytes);
+        let down = |v: VolumeId| v == exclude || failed.get(v.index()).copied().unwrap_or(false);
+        let mut out = Vec::new();
+        let mut a = lo;
+        while a < hi {
+            let k = a / sb;
+            let b = hi.min(k * sb + geom.unit_len(k));
+            if b <= a {
+                a = k * sb + sb;
+                continue;
+            }
+            let (rel_lo, rel_hi) = (a - k * sb, b - k * sb);
+            let row = geom.row_of_unit(k);
+            for k2 in row * (g - 1)..row * (g - 1) + g - 1 {
+                if k2 == k || k2 * sb >= geom.total_bytes {
+                    continue;
+                }
+                let len2 = geom.unit_len(k2);
+                let (rl, rh) = (rel_lo.min(len2), rel_hi.min(len2));
+                if rl >= rh {
+                    continue;
+                }
+                for (_, r) in scan_runs_in(extents, k2 * sb + rl, k2 * sb + rh) {
+                    if down(r.volume) {
+                        return None;
+                    }
+                    out.push(r);
+                }
+            }
+            let pv = geom.parity_volume(row);
+            if down(pv) {
+                return None;
+            }
+            let p_lo = geom.parity_file_index(row) * sb + rel_lo;
+            let pmap = &parity.parity_maps[(pv.0 - geom.base) as usize];
+            for (_, r) in scan_runs_in(pmap, p_lo, p_lo + (rel_hi - rel_lo)) {
+                if down(r.volume) {
+                    return None;
+                }
+                out.push(r);
+            }
+            a = b;
+        }
+        Some(out)
+    }
+
+    /// Maps file bytes `[lo, lo + len)` onto `volume` in one to
+    /// `max_pieces` extents cut at random block boundaries, each either
+    /// continuing the previous one on disk (so runs merge) or jumping.
+    /// A length that is not a block multiple rounds its last extent up,
+    /// as a short tail unit does.
+    fn fragmented(
+        rng: &mut Rng,
+        volume: u32,
+        lo: u64,
+        len: u64,
+        max_pieces: u64,
+        next_block: &mut u64,
+    ) -> Vec<VolumeExtent> {
+        let blocks = len.div_ceil(512);
+        let mut cuts: Vec<u64> = (1..max_pieces).map(|_| rng.below(blocks)).collect();
+        cuts.extend([0, blocks]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut out = Vec::new();
+        for w in cuts.windows(2) {
+            if !rng.chance(0.5) {
+                *next_block += 1 + rng.below(64);
+            }
+            let (a, b) = (w[0] * 512, (w[1] * 512).min(len));
+            out.push(VolumeExtent {
+                volume: VolumeId(volume),
+                extent: ext(lo + a, *next_block, (b - a).div_ceil(512) as u32),
+            });
+            *next_block += w[1] - w[0];
+        }
+        out
+    }
+
+    /// A byte range inside `[0, limit)`: random, or with either end (or
+    /// both) on a multiple of `unit`.
+    fn pick_range(rng: &mut Rng, limit: u64, unit: u64) -> (u64, u64) {
+        let units = limit.div_ceil(unit);
+        loop {
+            let mut lo = rng.below(limit);
+            let mut hi = lo + 1 + rng.below(3 * unit);
+            match rng.below(4) {
+                0 => lo = rng.below(units) * unit,
+                1 => hi = rng.range_inclusive(1, units) * unit,
+                2 => {
+                    lo = rng.below(units) * unit;
+                    hi = lo + rng.range_inclusive(1, 2) * unit;
+                }
+                _ => {}
+            }
+            let hi = hi.min(limit);
+            if lo < hi {
+                return (lo, hi);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_in_matches_full_scan_on_striped_and_mirrored_maps() {
+        let mut rng = Rng::new(0xE7E7);
+        for trial in 0..300 {
+            let stripe = 8192 * rng.range_inclusive(1, 4);
+            let total = rng.range_inclusive(1, 12 * stripe);
+            let mut next_block = 0;
+            let map: Vec<VolumeExtent> = if rng.chance(0.5) {
+                // Striped: unit k on volume k mod n.
+                let n = rng.range_inclusive(1, 4);
+                (0..total.div_ceil(stripe))
+                    .flat_map(|k| {
+                        let len = stripe.min(total - k * stripe);
+                        fragmented(
+                            &mut rng,
+                            (k % n) as u32,
+                            k * stripe,
+                            len,
+                            3,
+                            &mut next_block,
+                        )
+                    })
+                    .collect()
+            } else {
+                // One replica of a mirrored pair: the whole file on one
+                // volume, fragmented its own way.
+                let v = rng.below(2) as u32;
+                fragmented(&mut rng, v, 0, total, 8, &mut next_block)
+            };
+            let em = ExtentMap::new(map.clone());
+            assert_eq!(em.mapped(), total.div_ceil(512) * 512, "trial {trial}");
+            for _ in 0..20 {
+                let (lo, hi) = pick_range(&mut rng, em.mapped(), stripe);
+                assert_eq!(
+                    Stream::runs_in(&em, lo, hi),
+                    scan_runs_in(&map, lo, hi),
+                    "trial {trial}: [{lo}, {hi}) of {total}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parity_recon_matches_full_scan_on_random_parity_maps() {
+        let mut rng = Rng::new(0x9A9A);
+        for trial in 0..200 {
+            let base = rng.below(3) as u32;
+            let group = rng.range_inclusive(2, 5) as u32;
+            let sb = 8192 * rng.range_inclusive(1, 3);
+            let total = rng.range_inclusive(1, 4 * (group as u64 - 1) * sb);
+            let geom = ParityGeometry::new(base, group, sb, total);
+            let mut next_block = 0;
+            let data: Vec<VolumeExtent> = (0..geom.data_units())
+                .flat_map(|k| {
+                    let v = geom.data_volume(k).0;
+                    fragmented(&mut rng, v, k * sb, geom.unit_len(k), 3, &mut next_block)
+                })
+                .collect();
+            let parity_maps: Vec<Vec<VolumeExtent>> = (0..group)
+                .map(|v| match geom.parity_bytes_on(v) {
+                    0 => Vec::new(),
+                    bytes => fragmented(&mut rng, base + v, 0, bytes, 4, &mut next_block),
+                })
+                .collect();
+            let ps = ParityState::new(geom, parity_maps);
+            let em = ExtentMap::new(data.clone());
+            let volumes = (base + group) as usize;
+            for _ in 0..20 {
+                let (lo, hi) = pick_range(&mut rng, em.mapped(), sb);
+                let home = geom.data_volume(lo / sb);
+                let mut failed = vec![false; volumes];
+                if rng.chance(0.3) {
+                    failed[(base + rng.below(group as u64) as u32) as usize] = true;
+                }
+                let expect = scan_parity_recon(&data, &ps, lo, hi, home, &failed);
+                let ctx = format!("trial {trial}: g={group} [{lo}, {hi}) of {total}");
+                assert_eq!(
+                    Stream::parity_recon_runs(&em, &ps, lo, hi, home, &failed),
+                    expect,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    Stream::steer_recon_runs(&em, &ps, lo, hi, home, &failed),
+                    expect,
+                    "{ctx}"
+                );
+            }
+        }
     }
 }

@@ -1,4 +1,6 @@
-use cras_core::{ParityGeometry, ParityState, Stream, VolumeExtent, PARITY_STRIPE_BYTES};
+use cras_core::{
+    ExtentMap, ParityGeometry, ParityState, Stream, VolumeExtent, PARITY_STRIPE_BYTES,
+};
 use cras_disk::VolumeId;
 use cras_ufs::Extent;
 
@@ -39,7 +41,7 @@ fn tail_block_rounded_degraded_read() {
             vec![ve(v, 0, pbase, (bytes / 512) as u32)]
         })
         .collect();
-    let ps = ParityState { geom, parity_maps };
+    let ps = ParityState::new(geom, parity_maps);
     let k = geom.data_units() - 1; // tail unit
     let fail = geom.data_volume(k);
     // What the interval planner passes: run end rounded up to a block.
@@ -47,6 +49,6 @@ fn tail_block_rounded_degraded_read() {
     let hi = k * sb + geom.unit_len(k).div_ceil(512) * 512;
     assert!(hi > total, "precondition: rounded end exceeds total");
     let failed = vec![false; group as usize];
-    let runs = Stream::parity_recon_runs(&extents, &ps, lo, hi, fail, &failed);
+    let runs = Stream::parity_recon_runs(&ExtentMap::new(extents), &ps, lo, hi, fail, &failed);
     assert!(runs.is_some());
 }

@@ -14,7 +14,7 @@
 //! system scales it by observed interval slack, so an idle array
 //! rebuilds at the configured cap while a loaded one backs off below it.
 
-use cras_core::{ParityState, Stream, VolumeExtent};
+use cras_core::{ExtentMap, ParityState, Stream, VolumeExtent};
 use cras_disk::VolumeId;
 use cras_sim::{Duration, Instant};
 
@@ -60,7 +60,7 @@ impl RebuildChunk {
 /// `chunk_bytes` long and follow the destination map's logical order, so
 /// both the read and the write side stay close to sequential.
 pub fn plan_chunks(
-    src_map: &[VolumeExtent],
+    src_map: &ExtentMap,
     dst_map: &[VolumeExtent],
     chunk_bytes: u64,
 ) -> Vec<RebuildChunk> {
@@ -105,10 +105,10 @@ pub fn plan_chunks(
 /// the rotating layout (a row never places two units on one volume),
 /// so it would mean the maps disagree with the geometry.
 pub fn plan_parity_recon(
-    extents: &[VolumeExtent],
+    extents: &ExtentMap,
     parity: &ParityState,
-    dst_data: &[VolumeExtent],
-    dst_parity: &[VolumeExtent],
+    dst_data: &ExtentMap,
+    dst_parity: &ExtentMap,
     vol: u32,
 ) -> Vec<RebuildChunk> {
     let geom = parity.geom;
@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn plan_covers_destination_bytes_once() {
-        let src = vec![ve(0, 0, 1000, 256)];
+        let src = ExtentMap::new(vec![ve(0, 0, 1000, 256)]);
         let dst = vec![ve(2, 0, 5000, 128), ve(2, 128 * 512, 9000, 128)];
         let chunks = plan_chunks(&src, &dst, 64 * 512);
         let total: u64 = chunks.iter().map(RebuildChunk::bytes).sum();
@@ -397,7 +397,7 @@ mod tests {
     fn plan_follows_fragmented_source() {
         // Source split at an odd boundary: a destination chunk spanning
         // it becomes two copies.
-        let src = vec![ve(1, 0, 100, 48), ve(1, 48 * 512, 700, 80)];
+        let src = ExtentMap::new(vec![ve(1, 0, 100, 48), ve(1, 48 * 512, 700, 80)]);
         let dst = vec![ve(3, 0, 2000, 128)];
         let chunks = plan_chunks(&src, &dst, 128 * 512);
         assert_eq!(chunks.len(), 2);
@@ -409,7 +409,7 @@ mod tests {
 
     /// A geometry-faithful synthetic parity layout (data file then
     /// parity file, contiguous per volume).
-    fn parity_layout(group: u32, total: u64) -> (Vec<VolumeExtent>, ParityState) {
+    fn parity_layout(group: u32, total: u64) -> (ExtentMap, ParityState) {
         let geom = ParityGeometry::new(0, group, PARITY_STRIPE_BYTES, total);
         let sb = geom.stripe_bytes;
         let pbase = geom.rows() * (sb / 512);
@@ -432,7 +432,7 @@ mod tests {
                 vec![ve(v, 0, pbase, (bytes / 512) as u32)]
             })
             .collect();
-        (extents, ParityState { geom, parity_maps })
+        (ExtentMap::new(extents), ParityState::new(geom, parity_maps))
     }
 
     #[test]
@@ -445,17 +445,19 @@ mod tests {
             for vol in 0..group {
                 // The replacement's file maps equal the originals on
                 // this volume (fs metadata survives the disk).
-                let dst_data: Vec<VolumeExtent> = (0..geom.data_units())
-                    .filter(|&k| geom.data_volume(k).0 == vol)
-                    .map(|k| {
-                        ve(
-                            vol,
-                            geom.data_file_index(k) * sb,
-                            geom.data_file_index(k) * (sb / 512),
-                            geom.unit_len(k).div_ceil(512) as u32,
-                        )
-                    })
-                    .collect();
+                let dst_data = ExtentMap::new(
+                    (0..geom.data_units())
+                        .filter(|&k| geom.data_volume(k).0 == vol)
+                        .map(|k| {
+                            ve(
+                                vol,
+                                geom.data_file_index(k) * sb,
+                                geom.data_file_index(k) * (sb / 512),
+                                geom.unit_len(k).div_ceil(512) as u32,
+                            )
+                        })
+                        .collect(),
+                );
                 let dst_parity = ps.parity_maps[vol as usize].clone();
                 let chunks = plan_parity_recon(&extents, &ps, &dst_data, &dst_parity, vol);
                 // Every chunk writes to the rebuilt volume, reads only

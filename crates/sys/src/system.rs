@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use cras_core::{
-    on_volume, AdmissionError, CacheState, CrasServer, ParityGeometry, ParityState,
+    on_volume, AdmissionError, CacheState, CrasServer, ExtentMap, ParityGeometry, ParityState,
     PlacementPolicy, ReadId, ReadReq, StreamId, VolumeExtent, VolumeLoad, PARITY_STRIPE_BYTES,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
@@ -787,7 +787,7 @@ impl SysState {
                         on_volume(VolumeId(vol), self.fs[vol as usize].extent_map(ino))
                     })
                     .collect();
-                Some(ParityState { geom, parity_maps })
+                Some(ParityState::new(geom, parity_maps))
             }
             _ => None,
         }
@@ -1573,7 +1573,11 @@ impl System {
             } else {
                 continue;
             };
-            chunks.extend(plan_chunks(&src, &dst, self.cfg.rebuild_chunk));
+            chunks.extend(plan_chunks(
+                &ExtentMap::new(src),
+                &dst,
+                self.cfg.rebuild_chunk,
+            ));
         }
         // Parity movies whose band contains the volume: reconstruct its
         // lost data units from the surviving data+parity units, and
@@ -1609,7 +1613,7 @@ impl System {
                 .enumerate()
                 .map(|(v, &ino)| self.fs[(base + v as u32) as usize].extent_map(ino))
                 .collect();
-            let extents = parity_data_extents(&geom, &maps);
+            let extents = ExtentMap::new(parity_data_extents(&geom, &maps));
             let parity_maps = parity
                 .iter()
                 .enumerate()
@@ -1618,10 +1622,16 @@ impl System {
                     on_volume(VolumeId(pv), self.fs[pv as usize].extent_map(ino))
                 })
                 .collect();
-            let ps = ParityState { geom, parity_maps };
+            let ps = ParityState::new(geom, parity_maps);
             let bv = (vol - base) as usize;
-            let dst_data = on_volume(VolumeId(vol), self.fs[vol as usize].extent_map(data[bv]));
-            let dst_parity = on_volume(VolumeId(vol), self.fs[vol as usize].extent_map(parity[bv]));
+            let dst_data = ExtentMap::new(on_volume(
+                VolumeId(vol),
+                self.fs[vol as usize].extent_map(data[bv]),
+            ));
+            let dst_parity = ExtentMap::new(on_volume(
+                VolumeId(vol),
+                self.fs[vol as usize].extent_map(parity[bv]),
+            ));
             chunks.extend(plan_parity_recon(
                 &extents,
                 &ps,
@@ -2354,8 +2364,12 @@ impl SysState {
             }
             DiskTag::UfsWriteback(_, _) => {}
             DiskTag::UfsFetch(v, run) | DiskTag::UfsReadAhead(v, run) => {
+                // A failed read brought no data: its blocks stop being
+                // in flight, but only a good read fills the cache.
                 for b in run.blocks() {
-                    self.fs[v as usize].mark_cached(b);
+                    if !done.failed {
+                        self.fs[v as usize].mark_cached(b);
+                    }
                     self.inflight_blocks.remove(&(v, b));
                 }
                 self.check_server_wait(now, acts);
@@ -3666,5 +3680,66 @@ mod tests {
         assert_index_matches_scan(&r, "recovered");
         r.run_for(Duration::from_secs(4));
         assert_index_matches_scan(&r, "after recovery");
+    }
+
+    #[test]
+    fn failed_ufs_reads_do_not_enter_the_buffer_cache() {
+        let mut cfg = SysConfig::default();
+        cfg.server.volumes = 2;
+        let mut s = sys(cfg);
+        let bg = s.add_bg_reader_on(1, "cat", 4 << 20, 64 << 10, Duration::ZERO);
+        let ino = s.bgs[&bg.0].ino;
+        s.start_bg();
+        // Step until driver read-ahead is in flight: blocks on their way
+        // from volume 1 that the server's own fetch is not waiting on.
+        let read_ahead_in_flight = |s: &System| {
+            s.inflight_blocks
+                .iter()
+                .any(|k| k.0 == 1 && !s.server_wait.as_ref().is_some_and(|w| w.contains(k)))
+        };
+        while s.now() < Instant::ZERO + Duration::from_millis(50) || !read_ahead_in_flight(&s) {
+            let t = s
+                .engine
+                .peek_time()
+                .expect("the reader keeps events queued");
+            s.run_until(t);
+        }
+        let failed: Vec<cras_ufs::FsBlock> = s
+            .inflight_blocks
+            .iter()
+            .filter(|k| k.0 == 1)
+            .map(|k| k.1)
+            .collect();
+        assert!(!failed.is_empty());
+        let file = s.ufs_on(1).inode(ino).data_blocks();
+        let cached = |s: &System| -> Vec<cras_ufs::FsBlock> {
+            let fs = s.ufs_on(1);
+            file.iter()
+                .copied()
+                .filter(|b| fs.cache().peek(*b))
+                .collect()
+        };
+        let before = cached(&s);
+        s.fail_volume(1);
+        s.run_for(Duration::from_secs(2));
+        // Every read after the failure failed, the in-flight ones
+        // included: the cache holds exactly what it held before.
+        assert_eq!(cached(&s), before);
+        for b in &failed {
+            assert!(!s.ufs_on(1).cache().peek(*b), "failed block {b} cached");
+        }
+        // A re-read of the failed blocks misses and fetches them again.
+        let fs = &mut s.state.fs[1];
+        let (_, misses) = fs.cache().hit_stats();
+        let plan = fs.plan_read(ino, 0, 4 << 20);
+        let fetched: Vec<cras_ufs::FsBlock> = plan.fetch.iter().flat_map(|r| r.blocks()).collect();
+        for b in &failed {
+            assert!(fetched.contains(b), "failed block {b} not re-fetched");
+            assert!(
+                !plan.cached.contains(b),
+                "failed block {b} served from cache"
+            );
+        }
+        assert!(fs.cache().hit_stats().1 >= misses + failed.len() as u64);
     }
 }

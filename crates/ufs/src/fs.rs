@@ -396,7 +396,7 @@ impl Ufs {
             let path = self.inodes[ino as usize]
                 .bmap(fb)
                 .expect("mapped block within size");
-            for m in &path.meta {
+            for m in path.meta() {
                 if self.cache.lookup(*m) {
                     if !plan.cached.contains(m) {
                         plan.cached.push(*m);

@@ -9,13 +9,32 @@
 use crate::layout::{FsBlock, Ino, BSIZE, NDIRECT, NINDIR};
 
 /// Which physical blocks must be read to reach a file block: zero, one or
-/// two metadata blocks, then the data block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// two metadata blocks, then the data block. Held inline, so a lookup
+/// allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BmapPath {
-    /// Metadata (indirect) blocks on the path, outermost first.
-    pub meta: Vec<FsBlock>,
+    /// Metadata blocks, outermost first; slots past `nmeta` are zero.
+    meta: [FsBlock; 2],
+    nmeta: u8,
     /// The data block.
     pub data: FsBlock,
+}
+
+impl BmapPath {
+    fn new(meta: &[FsBlock], data: FsBlock) -> BmapPath {
+        let mut path = BmapPath {
+            meta: [0; 2],
+            nmeta: meta.len() as u8,
+            data,
+        };
+        path.meta[..meta.len()].copy_from_slice(meta);
+        path
+    }
+
+    /// Metadata (indirect) blocks on the path, outermost first.
+    pub fn meta(&self) -> &[FsBlock] {
+        &self.meta[..self.nmeta as usize]
+    }
 }
 
 /// An in-memory inode.
@@ -65,19 +84,13 @@ impl Inode {
     /// block, or `None` for a hole / out-of-range block.
     pub fn bmap(&self, fb: u64) -> Option<BmapPath> {
         if fb < NDIRECT as u64 {
-            return self.direct[fb as usize].map(|data| BmapPath {
-                meta: Vec::new(),
-                data,
-            });
+            return self.direct[fb as usize].map(|data| BmapPath::new(&[], data));
         }
         let fb = fb - NDIRECT as u64;
         if fb < NINDIR as u64 {
             let table = self.indirect?;
             let data = (*self.ind_entries.get(fb as usize)?)?;
-            return Some(BmapPath {
-                meta: vec![table],
-                data,
-            });
+            return Some(BmapPath::new(&[table], data));
         }
         let fb = fb - NINDIR as u64;
         if fb < (NINDIR * NINDIR) as u64 {
@@ -85,10 +98,7 @@ impl Inode {
             let (l1_idx, l2_idx) = ((fb / NINDIR as u64) as usize, (fb % NINDIR as u64) as usize);
             let (table, entries) = self.dind_tables.get(l1_idx)?.as_ref()?;
             let data = (*entries.get(l2_idx)?)?;
-            return Some(BmapPath {
-                meta: vec![root, *table],
-                data,
-            });
+            return Some(BmapPath::new(&[root, *table], data));
         }
         None
     }
@@ -220,7 +230,7 @@ mod tests {
         map_n(&mut i, 12);
         for fb in 0..12 {
             let p = i.bmap(fb).unwrap();
-            assert!(p.meta.is_empty());
+            assert!(p.meta().is_empty());
             assert_eq!(p.data, 1000 + fb);
         }
         assert!(i.meta_blocks().is_empty());
@@ -231,7 +241,7 @@ mod tests {
         let mut i = Inode::new(1);
         map_n(&mut i, NDIRECT as u64 + 5);
         let p = i.bmap(NDIRECT as u64 + 3).unwrap();
-        assert_eq!(p.meta.len(), 1);
+        assert_eq!(p.meta().len(), 1);
         assert_eq!(p.data, 1000 + NDIRECT as u64 + 3);
         assert_eq!(i.meta_blocks().len(), 1);
     }
@@ -242,7 +252,7 @@ mod tests {
         let fb = NDIRECT as u64 + NINDIR as u64 + 10;
         map_n(&mut i, fb + 1);
         let p = i.bmap(fb).unwrap();
-        assert_eq!(p.meta.len(), 2);
+        assert_eq!(p.meta().len(), 2);
         // Metadata: 1 single-indirect + dindirect root + 1 L2 table.
         assert_eq!(i.meta_blocks().len(), 3);
     }
