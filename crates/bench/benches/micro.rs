@@ -6,11 +6,14 @@
 use std::hint::black_box;
 
 use cras_bench::timer::bench;
-use cras_core::{Admission, AdmissionModel, CrasServer, ServerConfig, StreamParams};
+use cras_core::{
+    on_volume, Admission, AdmissionModel, AdmitMode, CrasServer, Redundancy, ServerConfig,
+    StreamParams,
+};
 use cras_core::{BufferedChunk, TimeDrivenBuffer};
 use cras_disk::calibrate::DiskParams;
 use cras_disk::cscan::CScanQueue;
-use cras_disk::SeekModel;
+use cras_disk::{SeekModel, VolumeId};
 use cras_media::StreamProfile;
 use cras_sim::{Duration, Engine, Instant, Rng};
 use cras_ufs::Extent;
@@ -107,11 +110,16 @@ fn bench_interval_plan() {
                 .open(
                     &format!("m{i}"),
                     table,
-                    vec![Extent {
-                        file_offset: 0,
-                        disk_block: i * 400_000,
-                        nblocks,
-                    }],
+                    on_volume(
+                        VolumeId(0),
+                        vec![Extent {
+                            file_offset: 0,
+                            disk_block: i * 400_000,
+                            nblocks,
+                        }],
+                    ),
+                    Redundancy::None,
+                    AdmitMode::Checked,
                 )
                 .expect("10 streams fit in ample memory");
             srv.start(id, Instant::ZERO);

@@ -1,11 +1,12 @@
 //! Regenerates the rotating-parity failover experiment.
 
-use cras_bench::{quick_mode, write_result};
+use cras_bench::{quick_mode, write_bench, write_result};
 use cras_sim::Duration;
 use cras_workload::parity_failover::sweep;
 
 fn main() {
-    let (counts, measure): (&[usize], Duration) = if quick_mode() {
+    let quick = quick_mode();
+    let (counts, measure): (&[usize], Duration) = if quick {
         (&[2, 4], Duration::from_secs(10))
     } else {
         (&[2, 4, 8, 12], Duration::from_secs(20))
@@ -13,6 +14,11 @@ fn main() {
     let (t, f, _outs) = sweep(counts, 4, measure, 0x9417);
     println!("{}", t.render());
     println!("{}", f.render());
-    write_result("parity_failover", &t.to_json());
-    write_result("parity_failover_rebuild", &f.to_json());
+    for (artifact, json) in [
+        ("parity_failover", t.to_json()),
+        ("parity_failover_rebuild", f.to_json()),
+    ] {
+        write_result(artifact, &json);
+        write_bench(artifact, &json, quick);
+    }
 }

@@ -47,9 +47,9 @@ pub fn strict_mode() -> bool {
 }
 
 /// Writes a perf-trajectory artifact: `BENCH_<name>.json` at the repo
-/// root (where trajectory tooling looks) and a copy under `results/`.
-/// The payload is wrapped as `{"quick":…,"data":…}` so a `--check` run
-/// can refuse to compare across sweep modes.
+/// root, where trajectory tooling looks. The payload is wrapped as
+/// `{"quick":…,"data":…}` so a `--check` run can refuse to compare
+/// across sweep modes.
 ///
 /// # Panics
 ///
@@ -59,7 +59,6 @@ pub fn write_bench(name: &str, json: &str, quick: bool) {
     let file = format!("BENCH_{name}.json");
     fs::write(&file, &wrapped).expect("write BENCH artifact");
     eprintln!("wrote {file}");
-    write_result(&format!("BENCH_{name}"), &wrapped);
 }
 
 /// Pulls every numeric token out of a JSON string, in order. Good

@@ -17,12 +17,14 @@
 //! the deployment-cost model ([`crate::deploy`]) accounts for the
 //! difference.
 
+use cras_disk::VolumeId;
 use cras_media::ChunkTable;
 use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
 use crate::admission::AdmissionError;
-use crate::server::CrasServer;
+use crate::placement::on_volume;
+use crate::server::{AdmitMode, CrasServer, Redundancy};
 use crate::stream::StreamId;
 use crate::tdbuffer::BufferedChunk;
 
@@ -39,8 +41,9 @@ impl CrsSession {
     }
 }
 
-/// `crs_open`: opens a stream (admission test, buffer allocation) and
-/// returns a session handle.
+/// `crs_open`: opens a single-copy stream whose extents address volume 0
+/// (the paper's single-disk case) — admission test, buffer allocation —
+/// and returns a session handle.
 pub fn crs_open(
     server: &mut CrasServer,
     name: &str,
@@ -48,7 +51,13 @@ pub fn crs_open(
     extents: Vec<Extent>,
 ) -> Result<CrsSession, AdmissionError> {
     server
-        .open(name, table, extents)
+        .open(
+            name,
+            table,
+            on_volume(VolumeId(0), extents),
+            Redundancy::None,
+            AdmitMode::Checked,
+        )
         .map(|stream| CrsSession { stream })
 }
 

@@ -65,8 +65,9 @@ pub use placement::{
     PARITY_STRIPE_BYTES,
 };
 pub use server::{
-    CrasServer, IntervalReport, ReadId, ReadReq, ServerConfig, ServerStats, VolumeLoad,
+    AdmitMode, CrasServer, IntervalReport, ReadId, ReadReq, Redundancy, ServerConfig, ServerStats,
+    VolumeLoad,
 };
 pub use stream::{CacheState, DiskRun, ParityState, Stream, StreamId, VolumeRun};
-pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer};
+pub use tdbuffer::{BufferStats, BufferedChunk, TimeDrivenBuffer, JITTER};
 pub use writer::{ParityEncoder, ParityUnit, Recorder, WriteId, WriteReq};

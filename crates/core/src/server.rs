@@ -41,19 +41,32 @@ use cras_disk::geometry::BlockNo;
 use cras_disk::{SweepCursor, VolumeId};
 use cras_media::ChunkTable;
 use cras_sim::{Duration, Instant};
-use cras_ufs::Extent;
 
 use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams, MAX_READ_BYTES};
 use crate::cache::{EvictPolicy, IntervalCache};
 use crate::cachepolicy::CacheManager;
 use crate::clock::LogicalClock;
-use crate::placement::{on_volume, volume_shares, ExtentMap, PlacementPolicy, VolumeExtent};
+use crate::placement::{volume_shares, ExtentMap, PlacementPolicy, VolumeExtent};
 use crate::stream::{CacheState, ParityState, Stream, StreamId};
-use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer};
+use crate::tdbuffer::{BufferedChunk, TimeDrivenBuffer, JITTER};
 
 /// Fixed (non-buffer) server footprint: "CRAS consumes about (250KB +
 /// total buffer space) of physical memory."
 pub const SERVER_FIXED_BYTES: u64 = 250 * 1024;
+
+/// Per-stream cap on outstanding pre-fetch batches. When a stream
+/// already has this many batches in flight (the disk is behind), the
+/// scheduler skips issuing more for it this interval — bounding the
+/// backlog when the server is run past its admitted load, as the
+/// Figure 6 sweep deliberately does.
+const MAX_OUTSTANDING_BATCHES: usize = 2;
+
+/// Hysteresis margin for the coded-read steering decision, bytes: the
+/// fan-out is chosen only when its projected bottleneck undercuts the
+/// direct read's by more than this. Keeps an evenly loaded system on
+/// the cheap direct path (reconstruction is strictly more total work)
+/// and stops flapping near the break-even point.
+const STEER_MARGIN_BYTES: u64 = 64 * 1024;
 
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
@@ -62,21 +75,9 @@ pub struct ServerConfig {
     pub interval: Duration,
     /// Memory budget for stream buffers (the admission test's limit).
     pub buffer_budget: u64,
-    /// The time-driven buffer's jitter allowance `J`.
-    pub jitter: Duration,
-    /// Maximum bytes per disk command.
-    pub max_read_bytes: u64,
-    /// Overhead model for admission.
-    pub model: AdmissionModel,
     /// Initial delay in intervals before a started stream's clock runs
     /// (2 = classic double buffering; the paper's 1 s at `T` = 0.5 s).
     pub initial_delay_intervals: u32,
-    /// Per-stream cap on outstanding pre-fetch batches. When a stream
-    /// already has this many batches in flight (the disk is behind), the
-    /// scheduler skips issuing more for it this interval — bounding the
-    /// backlog when the server is run past its admitted load, as the
-    /// Figure 6 sweep deliberately does.
-    pub max_outstanding_batches: usize,
     /// Number of disk volumes the server schedules across (1 = the
     /// paper's configuration).
     pub volumes: usize,
@@ -112,12 +113,6 @@ pub struct ServerConfig {
     /// commands, `2/g` shares) already covers the fan-out, so steering
     /// can never oversubscribe a volume.
     pub steer_reads: bool,
-    /// Hysteresis margin for the steering decision, bytes: the fan-out
-    /// is chosen only when its projected bottleneck undercuts the
-    /// direct read's by more than this. Keeps an evenly loaded system
-    /// on the cheap direct path (reconstruction is strictly more total
-    /// work) and stops flapping near the break-even point.
-    pub steer_margin_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -125,11 +120,7 @@ impl Default for ServerConfig {
         ServerConfig {
             interval: Duration::from_millis(500),
             buffer_budget: 8 << 20,
-            jitter: Duration::from_millis(100),
-            max_read_bytes: MAX_READ_BYTES,
-            model: AdmissionModel::Paper,
             initial_delay_intervals: 2,
-            max_outstanding_batches: 2,
             volumes: 1,
             placement: PlacementPolicy::RoundRobin,
             cache_budget: 0,
@@ -139,9 +130,48 @@ impl Default for ServerConfig {
             join_window: Duration::ZERO,
             cache_evict: EvictPolicy::OldestFirst,
             steer_reads: true,
-            steer_margin_bytes: 64 * 1024,
         }
     }
+}
+
+/// A movie's redundancy, as [`CrasServer::open`] receives it.
+#[derive(Clone, Debug)]
+pub enum Redundancy {
+    /// One copy: the extent map is the only replica.
+    None,
+    /// A mirror replica map. Admission charges each replica volume the
+    /// full rate — the worst case where the other replica is gone — so
+    /// the guarantee survives either spindle failing.
+    Mirror(Vec<VolumeExtent>),
+    /// Rotating parity over a band; the extent map is the logical data
+    /// map. Admission charges every band volume the worst-case degraded
+    /// load — `2/group` of the rate (its own `1/group` of the data plus
+    /// one same-sized reconstruction read per stripe the dead spindle
+    /// owes) as *two* read commands per spindle, so the per-command
+    /// seek/rotation overheads of the degraded fan-out are paid up front
+    /// and streams admitted healthy still meet deadlines degraded.
+    Parity(ParityState),
+}
+
+/// How [`CrasServer::open`] decides whether a stream may open.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AdmitMode {
+    /// The admission test, first passing rung wins: deferred admission
+    /// for a hot title whose prefix is memory-resident (DESIGN §16), the
+    /// per-volume disk test, then cache-aware admission for a stream
+    /// trailing an active one on the same movie.
+    Checked,
+    /// Crash-recovery replay of a journaled deferred admission. The
+    /// cache is empty after a restart, so the prefix-residency test
+    /// cannot re-pass; the stream opens with zero disk shares (buffer
+    /// memory still checked) in [`CacheState::Prefix`], and its first
+    /// serve miss walks the ordinary drain path — a disk re-admission
+    /// at that tick.
+    Replay,
+    /// The checked test; on refusal the stream opens anyway, disk-fed
+    /// with full shares. The Figure 6 sweep measures achieved
+    /// throughput past the admitted load this way.
+    BestEffort,
 }
 
 /// Externally observed load of one spindle, fed by the orchestrator
@@ -440,7 +470,7 @@ impl CrasServer {
         CrasServer {
             admissions: disks
                 .into_iter()
-                .map(|d| Admission::new(d, cfg.model))
+                .map(|d| Admission::new(d, AdmissionModel::Paper))
                 .collect(),
             cache,
             manager: CacheManager::new(cfg.hot_set, cfg.prefix_secs),
@@ -710,78 +740,95 @@ impl CrasServer {
 
     /// `crs_open`: admission-test a new stream and allocate its buffer.
     ///
-    /// The extent map addresses volume 0 — the single-disk case. Use
-    /// [`CrasServer::open_placed`] for movies placed across volumes.
+    /// The caller supplies the control-file chunk table, the extent map
+    /// resolved through UFS and the movie's redundancy; worst-case rate
+    /// and max chunk size drive the admission test, weighted per volume
+    /// by where the bytes live. `mode` picks the decision (see
+    /// [`AdmitMode`]); a refused open installs nothing.
     pub fn open(
         &mut self,
         name: &str,
         table: ChunkTable,
-        extents: Vec<Extent>,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_placed(name, table, on_volume(VolumeId(0), extents))
-    }
-
-    /// `crs_open` with a volume-aware extent map.
-    ///
-    /// The caller supplies the control-file chunk table and the extent
-    /// map resolved through UFS; worst-case rate and max chunk size
-    /// drive the admission test, weighted per volume by where the bytes
-    /// live.
-    pub fn open_placed(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
         extents: Vec<VolumeExtent>,
+        redundancy: Redundancy,
+        mode: AdmitMode,
     ) -> Result<StreamId, AdmissionError> {
-        self.open_replicated(name, table, extents, None)
-    }
-
-    /// `crs_open` for a (possibly mirrored) movie: the primary extent
-    /// map plus an optional mirror replica map. Admission charges each
-    /// replica volume the full rate — the worst case where the other
-    /// replica is gone — so the guarantee survives either spindle
-    /// failing.
-    pub fn open_replicated(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_inner(name, table, extents, mirror, None)
-    }
-
-    /// `crs_open` for a parity-placed movie: the logical data extent map
-    /// plus the rotating-parity state. Admission charges every band
-    /// volume the worst-case degraded load — `2/group` of the rate (its
-    /// own `1/group` of the data plus one same-sized reconstruction read
-    /// per stripe the dead spindle owes) as *two* read commands per
-    /// spindle, so the per-command seek/rotation overheads of the
-    /// degraded fan-out are paid up front and streams admitted healthy
-    /// still meet deadlines degraded.
-    pub fn open_parity(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        parity: ParityState,
-    ) -> Result<StreamId, AdmissionError> {
-        self.open_inner(name, table, extents, None, Some(parity))
-    }
-
-    fn open_inner(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-        parity: Option<ParityState>,
-    ) -> Result<StreamId, AdmissionError> {
+        let (mirror, parity) = match redundancy {
+            Redundancy::None => (None, None),
+            Redundancy::Mirror(m) => (Some(m), None),
+            Redundancy::Parity(p) => (None, Some(p)),
+        };
         let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
         let shares = match &parity {
             Some(p) => p.geom.admission_shares(self.cfg.volumes),
             None => self.shares_of(&extents, mirror.as_deref()),
         };
+        let state = match mode {
+            AdmitMode::Checked => {
+                self.admit_checked(name, &table, params, &shares, parity.as_ref())?
+            }
+            AdmitMode::Replay => {
+                let mut entries = self.admit_entries();
+                entries.push((params, vec![0.0; self.cfg.volumes], 1));
+                self.admit_set(&entries)?;
+                self.manager.observe_open(name, &mut self.cache);
+                CacheState::Prefix
+            }
+            AdmitMode::BestEffort => self
+                .admit_checked(name, &table, params, &shares, parity.as_ref())
+                .unwrap_or(CacheState::Disk),
+        };
+        let id = StreamId(self.next_stream);
+        self.next_stream += 1;
+        // Buffer sizing is 2·(T·R + C) — disk-parameter-independent, so
+        // any volume's evaluator gives the same answer.
+        let buffer_bytes = self.admissions[0].buffer_for(self.cfg.interval.as_secs_f64(), &params);
+        self.streams.insert(
+            id.0,
+            Stream {
+                id,
+                name: name.to_string(),
+                table,
+                extents: ExtentMap::new(extents),
+                mirror: mirror.map(ExtentMap::new),
+                parity,
+                params,
+                shares,
+                clock: LogicalClock::new(),
+                buffer: TimeDrivenBuffer::new(buffer_bytes, JITTER),
+                prefetch_cursor: Duration::ZERO,
+                cache_state: match state {
+                    CacheState::Prefix => CacheState::Prefix,
+                    _ => CacheState::Disk,
+                },
+            },
+        );
+        match state {
+            CacheState::Prefix => self.cache.stats_mut().prefix_admitted_streams += 1,
+            // Disk-admitted, but opportunistically cache-served: the
+            // spindle keeps the reservation, the cache saves the
+            // bandwidth while the interval holds.
+            CacheState::Served { reserved } => self.attach_cached(id, reserved, false),
+            CacheState::Admitted { reserved } => {
+                self.attach_cached(id, reserved, true);
+                self.cache.stats_mut().cache_admitted_streams += 1;
+            }
+            CacheState::Disk | CacheState::Joined { .. } => {}
+        }
+        Ok(id)
+    }
+
+    /// The checked admission ladder: the stream's initial cache state,
+    /// or the refusal. Tries prefix-deferred admission, then the disk
+    /// test, then cache-aware admission, in that order.
+    fn admit_checked(
+        &mut self,
+        name: &str,
+        table: &ChunkTable,
+        params: StreamParams,
+        shares: &[f64],
+        parity: Option<&ParityState>,
+    ) -> Result<CacheState, AdmissionError> {
         if !shares
             .iter()
             .enumerate()
@@ -789,7 +836,7 @@ impl CrasServer {
         {
             return Err(AdmissionError::VolumeFailed);
         }
-        if let Some(p) = &parity {
+        if let Some(p) = parity {
             // Degraded reads need all but one band volume alive.
             let g = p.geom;
             let down = (g.base..g.base + g.group)
@@ -800,7 +847,11 @@ impl CrasServer {
             }
         }
         let mut entries = self.admit_entries();
-        entries.push((params, shares, if parity.is_some() { 2 } else { 1 }));
+        entries.push((
+            params,
+            shares.to_vec(),
+            if parity.is_some() { 2 } else { 1 },
+        ));
         // Every checked open feeds the popularity estimator; when the
         // hot set changes, the manager re-pins prefixes in the cache.
         self.manager.observe_open(name, &mut self.cache);
@@ -808,34 +859,23 @@ impl CrasServer {
         // prefix is memory-resident starts from memory and reserves a
         // disk share only when its prefix drains (reserve-at-drain), so
         // only buffer memory is checked at open.
-        if self.prefix_resident_for(name, &table) {
-            let mut deferred = entries.clone();
-            deferred.last_mut().expect("pushed above").1 = vec![0.0; self.cfg.volumes];
-            if self.admit_set(&deferred).is_ok() {
-                let id = self.install_stream(name, table, extents, mirror, parity, params);
-                self.streams
-                    .get_mut(&id.0)
-                    .expect("installed above")
-                    .cache_state = CacheState::Prefix;
-                self.cache.stats_mut().prefix_admitted_streams += 1;
-                return Ok(id);
+        if self.prefix_resident_for(name, table) {
+            let last = entries.last_mut().expect("pushed above");
+            let disk = std::mem::replace(&mut last.1, vec![0.0; self.cfg.volumes]);
+            if self.admit_set(&entries).is_ok() {
+                return Ok(CacheState::Prefix);
             }
+            entries.last_mut().expect("pushed above").1 = disk;
         }
         // Does the new stream trail an active stream on the same movie
         // closely enough to be fed from the interval cache? (None when
         // the cache is disabled or the window does not cover the gap.)
-        let cached_need = self.cache_candidate(name, &table, params, Duration::ZERO, None);
+        let cached_need = self.cache_candidate(name, table, params, Duration::ZERO, None);
         match self.admit_set(&entries) {
-            Ok(()) => {
-                let id = self.install_stream(name, table, extents, mirror, parity, params);
-                // Disk-admitted, but opportunistically cache-served:
-                // the spindle keeps the reservation, the cache saves
-                // the bandwidth while the interval holds.
-                if let Some(need) = cached_need {
-                    self.attach_cached(id, need, false);
-                }
-                Ok(id)
-            }
+            Ok(()) => Ok(match cached_need {
+                Some(need) => CacheState::Served { reserved: need },
+                None => CacheState::Disk,
+            }),
             Err(e) => {
                 // Cache-aware admission: a trailing stream holds zero
                 // disk shares, so re-test the set with the newcomer's
@@ -843,15 +883,11 @@ impl CrasServer {
                 let Some(need) = cached_need else {
                     return Err(e);
                 };
-                let last = entries.last_mut().expect("pushed above");
-                last.1 = vec![0.0; self.cfg.volumes];
+                entries.last_mut().expect("pushed above").1 = vec![0.0; self.cfg.volumes];
                 if self.admit_set(&entries).is_err() {
                     return Err(e);
                 }
-                let id = self.install_stream(name, table, extents, mirror, parity, params);
-                self.attach_cached(id, need, true);
-                self.cache.stats_mut().cache_admitted_streams += 1;
-                Ok(id)
+                Ok(CacheState::Admitted { reserved: need })
             }
         }
     }
@@ -929,33 +965,6 @@ impl CrasServer {
         self.cache.prefix_resident(name, table, Duration::ZERO, end)
     }
 
-    /// Re-installs a deferred-admission stream during crash recovery.
-    /// The cache is empty after a restart, so the prefix-residency test
-    /// cannot re-pass; the stream is installed with zero disk shares
-    /// (buffer memory still checked) in state
-    /// [`CacheState::Prefix`], and its first serve miss walks the
-    /// ordinary drain path — a disk re-admission at that tick.
-    pub fn open_deferred_replicated(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-    ) -> Result<StreamId, AdmissionError> {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        let mut entries = self.admit_entries();
-        entries.push((params, vec![0.0; self.cfg.volumes], 1));
-        self.admit_set(&entries)?;
-        self.manager.observe_open(name, &mut self.cache);
-        let id = self.install_stream(name, table, extents, mirror, None, params);
-        self.streams
-            .get_mut(&id.0)
-            .expect("installed above")
-            .cache_state = CacheState::Prefix;
-        self.cache.stats_mut().prefix_admitted_streams += 1;
-        Ok(id)
-    }
-
     /// Marks an installed stream cache-fed and registers it as a
     /// follower of its movie's window.
     fn attach_cached(&mut self, id: StreamId, need: u64, admitted: bool) {
@@ -1017,91 +1026,6 @@ impl CrasServer {
                 volume_shares(&all, self.cfg.volumes)
             }
         }
-    }
-
-    /// Opens a stream *without* the admission test — the Figure 6 sweep
-    /// measures achieved throughput past the admitted load. Real
-    /// deployments use [`CrasServer::open`].
-    pub fn open_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<Extent>,
-    ) -> StreamId {
-        self.open_placed_unchecked(name, table, on_volume(VolumeId(0), extents))
-    }
-
-    /// [`CrasServer::open_unchecked`] with a volume-aware extent map.
-    pub fn open_placed_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-    ) -> StreamId {
-        self.open_replicated_unchecked(name, table, extents, None)
-    }
-
-    /// [`CrasServer::open_replicated`] without the admission test.
-    pub fn open_replicated_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-    ) -> StreamId {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        self.install_stream(name, table, extents, mirror, None, params)
-    }
-
-    /// [`CrasServer::open_parity`] without the admission test.
-    pub fn open_parity_unchecked(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        parity: ParityState,
-    ) -> StreamId {
-        let params = StreamParams::new(table.worst_rate(), table.max_chunk_size() as f64);
-        self.install_stream(name, table, extents, None, Some(parity), params)
-    }
-
-    fn install_stream(
-        &mut self,
-        name: &str,
-        table: ChunkTable,
-        extents: Vec<VolumeExtent>,
-        mirror: Option<Vec<VolumeExtent>>,
-        parity: Option<ParityState>,
-        params: StreamParams,
-    ) -> StreamId {
-        let t = self.cfg.interval.as_secs_f64();
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        // Buffer sizing is 2·(T·R + C) — disk-parameter-independent, so
-        // any volume's evaluator gives the same answer.
-        let buffer_bytes = self.admissions[0].buffer_for(t, &params);
-        let shares = match &parity {
-            Some(p) => p.geom.admission_shares(self.cfg.volumes),
-            None => self.shares_of(&extents, mirror.as_deref()),
-        };
-        self.streams.insert(
-            id.0,
-            Stream {
-                id,
-                name: name.to_string(),
-                table,
-                extents: ExtentMap::new(extents),
-                mirror: mirror.map(ExtentMap::new),
-                parity,
-                params,
-                shares,
-                clock: LogicalClock::new(),
-                buffer: TimeDrivenBuffer::new(buffer_bytes, self.cfg.jitter),
-                prefetch_cursor: Duration::ZERO,
-                cache_state: CacheState::Disk,
-            },
-        );
-        id
     }
 
     /// `crs_close`: releases the stream and its buffer.
@@ -1415,18 +1339,25 @@ impl CrasServer {
         Some((begin, disk))
     }
 
+    /// Detaches a stream from everything feeding it or fed by it: its
+    /// cache pins and reservation go, its own join ends (followers
+    /// dissolve at the next tick), and a follower leaves its leader's.
+    fn shed_feed(&mut self, id: StreamId) {
+        self.detach_cached(id);
+        self.joins.remove(&id.0);
+        if let CacheState::Joined { leader } = self.stream(id).cache_state {
+            self.leave_join(leader, id.0);
+        }
+    }
+
     /// `crs_stop`: stops the logical clock; pre-fetching ceases at the
     /// frozen position. A cache-fed stream's pins and reservation are
     /// released in this same call — a stopped client must not hold
     /// frames in memory indefinitely.
     pub fn stop(&mut self, id: StreamId, now: Instant) {
-        self.detach_cached(id);
         // A stopping leader orphans its followers (they dissolve at the
         // next tick); a stopping follower leaves its join.
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
+        self.shed_feed(id);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.clock.stop(now);
         match s.cache_state {
@@ -1452,14 +1383,10 @@ impl CrasServer {
     /// falls back to the disk path (with a re-admission test if it was
     /// cache-admitted).
     pub fn seek(&mut self, id: StreamId, now: Instant, to: Duration) {
-        self.detach_cached(id);
         // A seeking leader's reads no longer match its followers; a
         // seeking follower leaves its join (the new position needs its
         // own feed).
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
+        self.shed_feed(id);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.clock.seek(now, to);
         s.buffer.clear();
@@ -1537,14 +1464,10 @@ impl CrasServer {
             })
             .collect();
         self.admit_set(&entries)?;
-        self.detach_cached(id);
         // A rate change also ends any join in either role: a leader's
         // reads no longer match its followers, and a follower can no
         // longer ride its leader's normal-rate reads.
-        self.joins.remove(&id.0);
-        if let CacheState::Joined { leader } = self.stream(id).cache_state {
-            self.leave_join(leader, id.0);
-        }
+        self.shed_feed(id);
         let need = self.admissions[0].buffer_for(t, &base);
         let s = self.streams.get_mut(&id.0).expect("no such stream");
         s.cache_state = CacheState::Disk;
@@ -1554,7 +1477,7 @@ impl CrasServer {
         // higher rate, shrinking keeps the wired memory equal to what the
         // admission test accounted for.
         if need != s.buffer.capacity() {
-            s.buffer = TimeDrivenBuffer::new(need, self.cfg.jitter);
+            s.buffer = TimeDrivenBuffer::new(need, JITTER);
         }
         Ok(())
     }
@@ -1833,7 +1756,7 @@ impl CrasServer {
         let ext_bytes: Vec<f64> = (0..self.cfg.volumes)
             .map(|v| {
                 let ext = self.ext_load[v];
-                ext.queued as f64 * self.cfg.max_read_bytes as f64
+                ext.queued as f64 * MAX_READ_BYTES as f64
                     + ext.lag.max(0.0) * self.admissions[v].disk_params().transfer_rate
             })
             .collect();
@@ -1845,8 +1768,7 @@ impl CrasServer {
         let mut lost_streams = 0usize;
         let stream_ids: Vec<u32> = self.streams.keys().copied().collect();
         for sid in stream_ids {
-            if self.outstanding.get(&sid).copied().unwrap_or(0) >= self.cfg.max_outstanding_batches
-            {
+            if self.outstanding.get(&sid).copied().unwrap_or(0) >= MAX_OUTSTANDING_BATCHES {
                 // The disk is behind for this stream; do not pile on.
                 continue;
             }
@@ -1913,7 +1835,7 @@ impl CrasServer {
                 };
                 let mut runs = Stream::split_runs_tagged(
                     Stream::runs_in(map, byte_lo, byte_hi),
-                    self.cfg.max_read_bytes,
+                    MAX_READ_BYTES,
                 );
                 // Parity degraded mode: a run landing on a failed band
                 // volume is replaced *at plan time* by the g-1 surviving
@@ -1960,7 +1882,7 @@ impl CrasServer {
                     // Fan-out bytes join `planned` below, so later
                     // streams in this tick see their cost.
                     if self.cfg.steer_reads {
-                        let margin = self.cfg.steer_margin_bytes.max(1) as f64;
+                        let margin = STEER_MARGIN_BYTES as f64;
                         let mut kept = Vec::with_capacity(runs.len());
                         for (logical, r) in runs {
                             let bytes = r.nblocks as u64 * 512;
@@ -1997,7 +1919,7 @@ impl CrasServer {
                         }
                         runs = kept;
                     }
-                    recon = Stream::split_runs(recon, self.cfg.max_read_bytes);
+                    recon = Stream::split_runs(recon, MAX_READ_BYTES);
                 }
                 // A mirrored stream's whole load lands on the chosen
                 // replica's volume this interval; non-mirrored streams
@@ -2198,7 +2120,7 @@ impl CrasServer {
                         &self.failed,
                     )
                     .map(|rs| {
-                        Stream::split_runs(rs, self.cfg.max_read_bytes)
+                        Stream::split_runs(rs, MAX_READ_BYTES)
                             .into_iter()
                             .map(|r| (0, r, true))
                             .collect()
@@ -2212,7 +2134,7 @@ impl CrasServer {
                     .map(|m| {
                         Stream::split_runs_tagged(
                             Stream::runs_in(m, info.byte_lo, info.byte_hi),
-                            self.cfg.max_read_bytes,
+                            MAX_READ_BYTES,
                         )
                         .into_iter()
                         .map(|(logical, r)| (logical, r, false))
@@ -2276,14 +2198,38 @@ impl CrasServer {
 mod tests {
     use super::*;
     use crate::cache::CacheStats;
+    use crate::placement::on_volume;
     use cras_media::StreamProfile;
     use cras_sim::Rng;
+    use cras_ufs::Extent;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
     }
     fn at(v: u64) -> Instant {
         Instant::ZERO + ms(v)
+    }
+
+    /// A checked open of a single-copy movie on volume 0 — the paper's
+    /// single-disk case.
+    fn open0(
+        srv: &mut CrasServer,
+        name: &str,
+        t: ChunkTable,
+        e: Vec<Extent>,
+    ) -> Result<StreamId, AdmissionError> {
+        checked(srv, name, t, on_volume(VolumeId(0), e), Redundancy::None)
+    }
+
+    /// A checked open.
+    fn checked(
+        srv: &mut CrasServer,
+        name: &str,
+        t: ChunkTable,
+        e: Vec<VolumeExtent>,
+        redundancy: Redundancy,
+    ) -> Result<StreamId, AdmissionError> {
+        srv.open(name, t, e, redundancy, AdmitMode::Checked)
     }
 
     /// A 10-second MPEG1-like movie mapped to one contiguous extent.
@@ -2314,7 +2260,7 @@ mod tests {
     fn open_admits_and_allocates_buffer() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         // B_i = 2*(0.5*187500 + 6250) = 200 000 (+- f64 rounding of the
         // generated table's worst rate).
         let cap = srv.stream(id).buffer.capacity();
@@ -2328,8 +2274,8 @@ mod tests {
         cfg.buffer_budget = 300_000;
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
         let (t, e) = movie_table(10.0);
-        srv.open("a", t.clone(), e.clone()).unwrap();
-        let err = srv.open("b", t, e);
+        open0(&mut srv, "a", t.clone(), e.clone()).unwrap();
+        let err = open0(&mut srv, "b", t, e);
         assert!(matches!(err, Err(AdmissionError::OutOfMemory { .. })));
     }
 
@@ -2337,7 +2283,7 @@ mod tests {
     fn idle_tick_issues_nothing() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let _id = srv.open("m", t, e).unwrap();
+        let _id = open0(&mut srv, "m", t, e).unwrap();
         let rep = srv.interval_tick(at(0));
         assert!(rep.reqs.is_empty());
         assert_eq!(rep.posted_chunks, 0);
@@ -2348,7 +2294,7 @@ mod tests {
     fn start_then_prefetch_pipeline() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         let begin = srv.start(id, at(0));
         assert_eq!(begin, at(1000)); // 2 intervals of 0.5 s.
 
@@ -2386,7 +2332,7 @@ mod tests {
     fn overrun_detected_when_io_lags() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep1 = srv.interval_tick(at(500));
@@ -2401,7 +2347,7 @@ mod tests {
     fn stop_freezes_prefetch() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2420,7 +2366,7 @@ mod tests {
     fn stop_then_restart_resumes_where_it_left_off() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2456,7 +2402,7 @@ mod tests {
     fn stop_right_after_a_post_drops_what_no_longer_fits() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         // Steady state: each interval's reads complete inside it.
         for k in 0..12 {
@@ -2500,7 +2446,7 @@ mod tests {
     fn seek_clears_buffer_and_refetches() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2524,7 +2470,7 @@ mod tests {
     fn seek_orphans_inflight_batches() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2545,7 +2491,7 @@ mod tests {
     fn prefetch_stops_at_end_of_movie() {
         let mut srv = server();
         let (t, e) = movie_table(1.0); // 1-second movie.
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         let mut total_bytes = 0u64;
         for k in 0..10u64 {
@@ -2565,7 +2511,7 @@ mod tests {
     fn close_orphans_inflight_io() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let r1 = srv.interval_tick(at(500));
@@ -2585,7 +2531,7 @@ mod tests {
     fn set_rate_readmits() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.set_rate(id, at(0), 2.0).unwrap();
         assert!((srv.stream(id).params.rate - 375_000.0).abs() < 1.0);
         // Buffer regrown for the doubled rate.
@@ -2608,7 +2554,7 @@ mod tests {
     fn stream_report_reflects_state() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         let r0 = srv.stream_report(id);
         assert!(!r0.running);
         assert_eq!(r0.buffer_bytes, 0);
@@ -2630,7 +2576,7 @@ mod tests {
     fn calculated_io_time_reported_when_active() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2663,7 +2609,7 @@ mod tests {
             let mut n = 0u32;
             loop {
                 let (t, e) = movie_on(n % volumes as u32, 10.0);
-                if srv.open_placed(&format!("m{n}"), t, e).is_err() {
+                if checked(&mut srv, &format!("m{n}"), t, e, Redundancy::None).is_err() {
                     return n;
                 }
                 n += 1;
@@ -2685,7 +2631,7 @@ mod tests {
         let mut n_single = 0u32;
         loop {
             let (t, e) = movie_on(0, 10.0);
-            if single.open_placed(&format!("s{n_single}"), t, e).is_err() {
+            if checked(&mut single, &format!("s{n_single}"), t, e, Redundancy::None).is_err() {
                 break;
             }
             n_single += 1;
@@ -2693,7 +2639,7 @@ mod tests {
         let mut n_lop = 0u32;
         loop {
             let (t, e) = movie_on(0, 10.0);
-            if lopsided.open_placed(&format!("l{n_lop}"), t, e).is_err() {
+            if checked(&mut lopsided, &format!("l{n_lop}"), t, e, Redundancy::None).is_err() {
                 break;
             }
             n_lop += 1;
@@ -2708,20 +2654,20 @@ mod tests {
         let mut ids = Vec::new();
         loop {
             let (t, e) = movie_on(0, 10.0);
-            match srv.open_placed("v0", t, e) {
+            match checked(&mut srv, "v0", t, e, Redundancy::None) {
                 Ok(id) => ids.push(id),
                 Err(_) => break,
             }
         }
         // Volume 0 is full; volume 1 still admits...
         let (t, e) = movie_on(0, 10.0);
-        assert!(srv.open_placed("extra0", t, e).is_err());
+        assert!(checked(&mut srv, "extra0", t, e, Redundancy::None).is_err());
         let (t, e) = movie_on(1, 10.0);
-        let on1 = srv.open_placed("extra1", t, e).unwrap();
+        let on1 = checked(&mut srv, "extra1", t, e, Redundancy::None).unwrap();
         // ...and closing a volume-0 stream reopens volume-0 capacity.
         srv.close(*ids.first().expect("admitted at least one"));
         let (t, e) = movie_on(0, 10.0);
-        assert!(srv.open_placed("refill0", t, e).is_ok());
+        assert!(checked(&mut srv, "refill0", t, e, Redundancy::None).is_ok());
         srv.close(on1);
     }
 
@@ -2753,13 +2699,13 @@ mod tests {
                     },
                 },
             ];
-            srv.open_placed(&format!("st{n}"), t, extents)
+            checked(srv, &format!("st{n}"), t, extents, Redundancy::None)
         };
         let mut whole = multi_server(1, 1 << 40);
         let mut n_whole = 0u32;
         loop {
             let (t, e) = movie_on(0, 10.0);
-            if whole.open_placed(&format!("w{n_whole}"), t, e).is_err() {
+            if checked(&mut whole, &format!("w{n_whole}"), t, e, Redundancy::None).is_err() {
                 break;
             }
             n_whole += 1;
@@ -2821,7 +2767,7 @@ mod tests {
             let mut n = 0u32;
             loop {
                 let (t, e) = movie_on(0, 10.0);
-                if srv.open_placed(&format!("s{n}"), t, e).is_err() {
+                if checked(&mut srv, &format!("s{n}"), t, e, Redundancy::None).is_err() {
                     break;
                 }
                 n += 1;
@@ -2833,10 +2779,7 @@ mod tests {
         loop {
             let (p, m) = srv.place_next_pair();
             let (t, pri, mir) = mirrored_movie(p.0, m.0, 10.0);
-            if srv
-                .open_replicated(&format!("m{n}"), t, pri, Some(mir))
-                .is_err()
-            {
+            if checked(&mut srv, &format!("m{n}"), t, pri, Redundancy::Mirror(mir)).is_err() {
                 break;
             }
             n += 1;
@@ -2848,7 +2791,7 @@ mod tests {
     fn steering_balances_replicas_when_both_live() {
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = checked(&mut srv, "m", t, pri, Redundancy::Mirror(mir)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2859,7 +2802,7 @@ mod tests {
         // A second mirrored stream opened the other way round lands on
         // its primary too; steering splits load when volumes are uneven.
         let (t2, pri2, mir2) = mirrored_movie(1, 0, 10.0);
-        let id2 = srv.open_replicated("m2", t2, pri2, Some(mir2)).unwrap();
+        let id2 = checked(&mut srv, "m2", t2, pri2, Redundancy::Mirror(mir2)).unwrap();
         srv.start(id2, at(500));
         let _ = id2;
     }
@@ -2868,7 +2811,7 @@ mod tests {
     fn degraded_read_remaps_to_mirror_and_still_posts() {
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = checked(&mut srv, "m", t, pri, Redundancy::Mirror(mir)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -2907,7 +2850,7 @@ mod tests {
         // whole interval's reads onto the replica.
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = checked(&mut srv, "m", t, pri, Redundancy::Mirror(mir)).unwrap();
         srv.start(id, at(0));
         let mut loads = vec![VolumeLoad::default(); 2];
         loads[0] = VolumeLoad {
@@ -2929,7 +2872,7 @@ mod tests {
         // pass drops it, counts it, and reports it.
         let mut srv = multi_server(2, 8 << 20);
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        let id = srv.open_replicated("m", t, pri, Some(mir)).unwrap();
+        let id = checked(&mut srv, "m", t, pri, Redundancy::Mirror(mir)).unwrap();
         srv.start(id, at(0));
         srv.set_volume_failed(VolumeId(0), true);
         srv.set_volume_failed(VolumeId(1), true);
@@ -2953,7 +2896,7 @@ mod tests {
         // it, and close clears the count.
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep1 = srv.interval_tick(at(500));
@@ -2977,7 +2920,7 @@ mod tests {
     fn failed_read_without_replica_drops_batch() {
         let mut srv = server();
         let (t, e) = movie_table(10.0);
-        let id = srv.open("m", t, e).unwrap();
+        let id = open0(&mut srv, "m", t, e).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -3002,7 +2945,7 @@ mod tests {
             loop {
                 let (p, m) = srv.place_next_pair();
                 let (t, pri, mir) = mirrored_movie(p.0, m.0, 10.0);
-                match srv.open_replicated("c", t, pri, Some(mir)) {
+                match checked(srv, "c", t, pri, Redundancy::Mirror(mir)) {
                     Ok(id) => ids.push(id),
                     Err(_) => break,
                 }
@@ -3027,11 +2970,11 @@ mod tests {
         let mut srv = multi_server(2, 1 << 40);
         srv.set_volume_failed(VolumeId(0), true);
         let (t, e) = movie_on(0, 10.0);
-        let err = srv.open_placed("dead", t, e);
+        let err = checked(&mut srv, "dead", t, e, Redundancy::None);
         assert!(matches!(err, Err(AdmissionError::VolumeFailed)));
         // A mirrored stream with one live replica is still admitted.
         let (t, pri, mir) = mirrored_movie(0, 1, 10.0);
-        assert!(srv.open_replicated("half", t, pri, Some(mir)).is_ok());
+        assert!(checked(&mut srv, "half", t, pri, Redundancy::Mirror(mir)).is_ok());
     }
 
     #[test]
@@ -3039,8 +2982,8 @@ mod tests {
         let mut srv = multi_server(2, 8 << 20);
         let (t0, e0) = movie_on(1, 10.0); // Volume 1 first by open order...
         let (t1, e1) = movie_on(0, 10.0);
-        let a = srv.open_placed("on1", t0, e0).unwrap();
-        let b = srv.open_placed("on0", t1, e1).unwrap();
+        let a = checked(&mut srv, "on1", t0, e0, Redundancy::None).unwrap();
+        let b = checked(&mut srv, "on0", t1, e1, Redundancy::None).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(0));
         srv.interval_tick(at(0));
@@ -3104,8 +3047,8 @@ mod tests {
             disk_block: 400_000,
             nblocks: ea[0].nblocks,
         }];
-        let a = srv.open("near", ta, ea).unwrap();
-        let b = srv.open("far", tb, eb).unwrap();
+        let a = open0(&mut srv, "near", ta, ea).unwrap();
+        let b = open0(&mut srv, "far", tb, eb).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(0));
         srv.interval_tick(at(0));
@@ -3148,7 +3091,7 @@ mod tests {
     /// leader's posted window.
     fn warm_leader(srv: &mut CrasServer, name: &str, ticks: u64) -> StreamId {
         let (t, e) = movie_table(30.0);
-        let id = srv.open(name, t, e).unwrap();
+        let id = open0(srv, name, t, e).unwrap();
         srv.start(id, at(0));
         for k in 0..ticks {
             let rep = srv.interval_tick(at(k * 500));
@@ -3166,7 +3109,7 @@ mod tests {
         // The leader's posted window spans media [0, ~2 s): a second
         // client of the same title attaches to the cache at open.
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).unwrap();
+        let follower = open0(&mut srv, "pop", t, e).unwrap();
         assert!(srv.stream(follower).cache_state.is_cached());
         srv.start(follower, at(2600));
         let mut follower_reqs = 0usize;
@@ -3195,7 +3138,7 @@ mod tests {
         let mut fillers = 0u32;
         loop {
             let (t, e) = movie_table(30.0);
-            if srv.open(&format!("f{fillers}"), t, e).is_err() {
+            if open0(&mut srv, &format!("f{fillers}"), t, e).is_err() {
                 break;
             }
             fillers += 1;
@@ -3204,7 +3147,7 @@ mod tests {
         // A trailing stream of the hot title still gets in — admitted
         // against the cache budget, charging the spindle nothing.
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).expect("cache-admitted");
+        let follower = open0(&mut srv, "pop", t, e).expect("cache-admitted");
         assert!(matches!(
             srv.stream(follower).cache_state,
             CacheState::Admitted { .. }
@@ -3213,7 +3156,53 @@ mod tests {
         assert_eq!(srv.cache().stats().cache_admitted_streams, 1);
         // The disk bound is genuinely still exhausted for cold titles.
         let (t, e) = movie_table(30.0);
-        assert!(srv.open("cold", t, e).is_err());
+        assert!(open0(&mut srv, "cold", t, e).is_err());
+    }
+
+    #[test]
+    fn best_effort_open_matches_checked_below_the_bound_then_charges_full_shares() {
+        // Two identical servers walk the same open sequence, one Checked
+        // and one BestEffort: a cache-served follower, cold fillers up
+        // to the disk bound, a cache-admitted follower, one filler more.
+        let mut checked = cache_server(64 << 20, 1 << 40);
+        let mut best = cache_server(64 << 20, 1 << 40);
+        warm_leader(&mut checked, "pop", 6);
+        warm_leader(&mut best, "pop", 6);
+        let open = |srv: &mut CrasServer, name: &str, mode: AdmitMode| {
+            let (t, e) = movie_table(30.0);
+            srv.open(name, t, on_volume(VolumeId(0), e), Redundancy::None, mode)
+        };
+        let mut name = "pop".to_string();
+        let mut states = Vec::new();
+        while let Ok(c) = open(&mut checked, &name, AdmitMode::Checked) {
+            let b = open(&mut best, &name, AdmitMode::BestEffort).expect("admitted");
+            assert_eq!(checked.cache_state_of(c), best.cache_state_of(b), "{name}");
+            assert_eq!(checked.stream(c).params, best.stream(b).params);
+            assert_eq!(checked.stream(c).shares, best.stream(b).shares);
+            states.push(checked.cache_state_of(c));
+            name = format!("f{}", states.len());
+        }
+        assert!(matches!(states[0], CacheState::Served { .. }));
+        assert!(states.len() > 1, "no filler fit under the disk bound");
+        for mode in [AdmitMode::Checked, AdmitMode::BestEffort] {
+            let srv = if mode == AdmitMode::Checked {
+                &mut checked
+            } else {
+                &mut best
+            };
+            let id = open(srv, "pop", mode).expect("cache-admitted");
+            assert!(matches!(
+                srv.cache_state_of(id),
+                CacheState::Admitted { .. }
+            ));
+        }
+        // The filler Checked refused still opens best effort: disk-fed,
+        // charged its full share.
+        let charged = best.disk_charged_streams();
+        let id = open(&mut best, &name, AdmitMode::BestEffort).expect("never refused");
+        assert_eq!(best.cache_state_of(id), CacheState::Disk);
+        assert_eq!(best.stream(id).shares, vec![1.0]);
+        assert_eq!(best.disk_charged_streams(), charged + 1);
     }
 
     #[test]
@@ -3221,7 +3210,7 @@ mod tests {
         let mut srv = cache_server(8 << 20, 8 << 20);
         let leader = warm_leader(&mut srv, "pop", 6);
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).unwrap();
+        let follower = open0(&mut srv, "pop", t, e).unwrap();
         assert!(srv.stream(follower).cache_state.is_cached());
         srv.start(follower, at(2600));
         for k in 6..8u64 {
@@ -3255,13 +3244,13 @@ mod tests {
         let mut fillers = 0u32;
         loop {
             let (t, e) = movie_table(30.0);
-            if srv.open(&format!("f{fillers}"), t, e).is_err() {
+            if open0(&mut srv, &format!("f{fillers}"), t, e).is_err() {
                 break;
             }
             fillers += 1;
         }
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).expect("cache-admitted");
+        let follower = open0(&mut srv, "pop", t, e).expect("cache-admitted");
         srv.start(follower, at(2600));
         for k in 6..8u64 {
             let rep = srv.interval_tick(at(k * 500));
@@ -3295,7 +3284,7 @@ mod tests {
         let mut srv = cache_server(8 << 20, 8 << 20);
         let _leader = warm_leader(&mut srv, "pop", 6);
         let (t, e) = movie_table(30.0);
-        let follower = srv.open("pop", t, e).unwrap();
+        let follower = open0(&mut srv, "pop", t, e).unwrap();
         assert!(srv.stream(follower).cache_state.is_cached());
         assert!(srv.cache().pinned_frames() > 0);
         assert!(srv.cache().reserved() > 0);
@@ -3306,7 +3295,7 @@ mod tests {
         srv.close(follower);
         // ...and a far seek past the cached window detaches likewise.
         let (t, e) = movie_table(30.0);
-        let f2 = srv.open("pop", t, e).unwrap();
+        let f2 = open0(&mut srv, "pop", t, e).unwrap();
         assert!(srv.cache().pinned_frames() > 0);
         srv.seek(f2, at(2700), Duration::from_secs(20));
         assert_eq!(srv.cache().pinned_frames(), 0);
@@ -3320,7 +3309,7 @@ mod tests {
         let drive = |srv: &mut CrasServer| {
             let a = warm_leader(srv, "pop", 6);
             let (t, e) = movie_table(30.0);
-            let b = srv.open("pop", t, e).unwrap();
+            let b = open0(srv, "pop", t, e).unwrap();
             srv.start(b, at(2600));
             let mut log = Vec::new();
             for k in 6..14u64 {
@@ -3352,7 +3341,7 @@ mod tests {
     /// single-open filler titles in the hot-set ordering.
     fn bump_popularity(srv: &mut CrasServer, name: &str) {
         let (t, e) = movie_table(30.0);
-        let id = srv.open(name, t, e).unwrap();
+        let id = open0(srv, name, t, e).unwrap();
         srv.close(id);
     }
 
@@ -3366,7 +3355,7 @@ mod tests {
         let mut fillers = 0u32;
         loop {
             let (t, e) = movie_table(30.0);
-            if srv.open(&format!("f{fillers}"), t, e).is_err() {
+            if open0(&mut srv, &format!("f{fillers}"), t, e).is_err() {
                 break;
             }
             fillers += 1;
@@ -3376,7 +3365,7 @@ mod tests {
         // A new viewer of the hot title still gets in: its whole prefix
         // is resident, so admission is deferred — zero disk shares.
         let (t, e) = movie_table(30.0);
-        let viewer = srv.open("pop", t, e).expect("deferred admission");
+        let viewer = open0(&mut srv, "pop", t, e).expect("deferred admission");
         assert!(matches!(srv.cache_state_of(viewer), CacheState::Prefix));
         assert_eq!(srv.cache().stats().prefix_admitted_streams, 1);
         assert_eq!(srv.disk_charged_streams(), charged);
@@ -3388,7 +3377,7 @@ mod tests {
         bump_popularity(&mut srv, "pop");
         let _leader = warm_leader(&mut srv, "pop", 6);
         let (t, e) = movie_table(30.0);
-        let viewer = srv.open("pop", t, e).expect("deferred admission");
+        let viewer = open0(&mut srv, "pop", t, e).expect("deferred admission");
         assert!(matches!(srv.cache_state_of(viewer), CacheState::Prefix));
         srv.start(viewer, at(3100));
         let mut reserved_tick = None;
@@ -3421,8 +3410,8 @@ mod tests {
     fn batched_join_multicasts_one_read_stream() {
         let mut srv = join_server(600);
         let (t, e) = movie_table(10.0);
-        let a = srv.open("pop", t.clone(), e.clone()).unwrap();
-        let b = srv.open("pop", t, e).unwrap();
+        let a = open0(&mut srv, "pop", t.clone(), e.clone()).unwrap();
+        let b = open0(&mut srv, "pop", t, e).unwrap();
         let begin_a = srv.start(a, at(0));
         let begin_b = srv.start(b, at(100));
         assert_eq!(begin_b, begin_a, "follower anchors on the leader's begin");
@@ -3456,8 +3445,8 @@ mod tests {
     fn leader_close_dissolves_join_to_disk() {
         let mut srv = join_server(600);
         let (t, e) = movie_table(10.0);
-        let a = srv.open("pop", t.clone(), e.clone()).unwrap();
-        let b = srv.open("pop", t, e).unwrap();
+        let a = open0(&mut srv, "pop", t.clone(), e.clone()).unwrap();
+        let b = open0(&mut srv, "pop", t, e).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(100));
         for k in 0..4u64 {
@@ -3487,8 +3476,8 @@ mod tests {
     fn join_window_zero_never_joins() {
         let mut srv = join_server(0);
         let (t, e) = movie_table(10.0);
-        let a = srv.open("pop", t.clone(), e.clone()).unwrap();
-        let b = srv.open("pop", t, e).unwrap();
+        let a = open0(&mut srv, "pop", t.clone(), e.clone()).unwrap();
+        let b = open0(&mut srv, "pop", t, e).unwrap();
         srv.start(a, at(0));
         srv.start(b, at(100));
         assert!(matches!(srv.cache_state_of(a), CacheState::Disk));
@@ -3513,7 +3502,7 @@ mod tests {
             let mut ids = Vec::new();
             loop {
                 let (t, e) = movie_on(v, 10.0);
-                match srv.open_placed("h", t, e) {
+                match checked(srv, "h", t, e, Redundancy::None) {
                     Ok(id) => ids.push(id),
                     Err(_) => break,
                 }
@@ -3587,7 +3576,7 @@ mod tests {
                 let mut n = 0usize;
                 loop {
                     let (t, e, ps) = parity_movie(group, 0, 20.0, 7);
-                    if srv.open_parity("p", t, e, ps).is_err() {
+                    if checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).is_err() {
                         break;
                     }
                     n += 1;
@@ -3609,7 +3598,7 @@ mod tests {
                             extent: ve.extent,
                         })
                         .collect();
-                    if srv.open_placed("s", t, striped).is_err() {
+                    if checked(&mut srv, "s", t, striped, Redundancy::None).is_err() {
                         break;
                     }
                     n += 1;
@@ -3633,7 +3622,7 @@ mod tests {
     fn degraded_parity_plan_fans_out_into_surviving_spindle_batches() {
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).unwrap();
         srv.start(id, at(0));
         // Kill a volume that holds data of the first stripes: row 0's
         // parity is on volume 0, so its data units live on 1, 2, 3.
@@ -3676,7 +3665,7 @@ mod tests {
         // bytes on g−1 volumes, so it can never beat direct + margin.
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         for i in 1..6u64 {
@@ -3693,7 +3682,7 @@ mod tests {
     fn hot_spindle_steers_parity_reads_around_it() {
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).unwrap();
         srv.start(id, at(0));
         // Volume 1 holds data of the first stripe rows (row 0's parity
         // sits on volume 0). Report a deep queue on it: every direct
@@ -3739,7 +3728,7 @@ mod tests {
         cfg.steer_reads = false;
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).unwrap();
         srv.start(id, at(0));
         let mut loads = vec![VolumeLoad::default(); 4];
         loads[1] = VolumeLoad {
@@ -3761,7 +3750,7 @@ mod tests {
         // its batches late gets bypassed even with an empty queue.
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).unwrap();
         srv.start(id, at(0));
         let mut loads = vec![VolumeLoad::default(); 4];
         loads[1] = VolumeLoad {
@@ -3779,7 +3768,7 @@ mod tests {
     fn parity_io_failed_replaces_read_with_survivors_and_loses_on_second_failure() {
         let mut srv = multi_server(4, 1 << 30);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        let id = srv.open_parity("p", t, e, ps).unwrap();
+        let id = checked(&mut srv, "p", t, e, Redundancy::Parity(ps)).unwrap();
         srv.start(id, at(0));
         srv.interval_tick(at(0));
         let rep = srv.interval_tick(at(500));
@@ -3804,11 +3793,11 @@ mod tests {
         let mut srv = multi_server(4, 1 << 30);
         srv.set_volume_failed(VolumeId(1), true);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
-        assert!(srv.open_parity("one-down", t, e, ps).is_ok());
+        assert!(checked(&mut srv, "one-down", t, e, Redundancy::Parity(ps)).is_ok());
         srv.set_volume_failed(VolumeId(2), true);
         let (t, e, ps) = parity_movie(4, 0, 10.0, 9);
         assert!(matches!(
-            srv.open_parity("two-down", t, e, ps),
+            checked(&mut srv, "two-down", t, e, Redundancy::Parity(ps)),
             Err(AdmissionError::VolumeFailed)
         ));
     }

@@ -17,6 +17,11 @@ use std::collections::BTreeMap;
 
 use cras_sim::{Duration, Instant};
 
+/// The server's jitter allowance `J`: a chunk stays readable this long
+/// after the logical clock passes its timestamp, and a client treats a
+/// frame still missing by then as dropped.
+pub const JITTER: Duration = Duration::from_millis(100);
+
 /// One buffered chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BufferedChunk {

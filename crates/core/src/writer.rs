@@ -29,7 +29,7 @@ use cras_media::ChunkTable;
 use cras_sim::{Duration, Instant};
 use cras_ufs::Extent;
 
-use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams};
+use crate::admission::{Admission, AdmissionError, AdmissionModel, StreamParams, MAX_READ_BYTES};
 use crate::placement::ParityGeometry;
 use crate::server::ServerConfig;
 use crate::stream::{DiskRun, StreamId};
@@ -258,7 +258,7 @@ impl Recorder {
                 }
                 s.write_cursor = hi;
                 let runs = byte_range_to_runs(&s.extents, lo, hi);
-                (split_runs(runs, self.cfg.max_read_bytes), s.id)
+                (split_runs(runs, MAX_READ_BYTES), s.id)
             };
             for r in runs {
                 let id = WriteId(self.next_write);

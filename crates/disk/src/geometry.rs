@@ -90,42 +90,6 @@ impl DiskGeometry {
         }
     }
 
-    /// A copy of this geometry with every zone's linear density scaled
-    /// by `factor` (sectors per track rounded to the nearest integer).
-    ///
-    /// This models a heterogeneous array: a later-generation spindle
-    /// with the same mechanics but denser platters transfers
-    /// proportionally faster, which the per-volume admission test must
-    /// see through calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive, or if scaling
-    /// would round any zone down to zero sectors per track.
-    pub fn scaled(&self, factor: f64) -> DiskGeometry {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "DiskGeometry::scaled: factor must be finite and positive"
-        );
-        let zones = self
-            .zones
-            .iter()
-            .map(|z| {
-                let spt = (z.sectors_per_track as f64 * factor).round() as u32;
-                assert!(spt > 0, "DiskGeometry::scaled: zone scaled to zero sectors");
-                Zone {
-                    sectors_per_track: spt,
-                    ..*z
-                }
-            })
-            .collect();
-        DiskGeometry {
-            heads: self.heads,
-            rpm: self.rpm,
-            zones,
-        }
-    }
-
     /// Total number of cylinders.
     pub fn cylinders(&self) -> u32 {
         self.zones.iter().map(|z| z.cyls).sum()
@@ -323,25 +287,5 @@ mod tests {
     fn zone_rates_decrease_inward() {
         let g = DiskGeometry::st32550n();
         assert!(g.transfer_rate_at(0) > g.transfer_rate_at(3509));
-    }
-
-    #[test]
-    fn scaled_geometry_scales_rate_and_capacity() {
-        let g = DiskGeometry::st32550n();
-        let f = g.scaled(1.5);
-        assert_eq!(f.cylinders(), g.cylinders());
-        assert_eq!(f.heads, g.heads);
-        let rate_ratio = f.avg_transfer_rate() / g.avg_transfer_rate();
-        assert!((rate_ratio - 1.5).abs() < 0.01, "rate ratio {rate_ratio}");
-        let cap_ratio = f.capacity_bytes() as f64 / g.capacity_bytes() as f64;
-        assert!((cap_ratio - 1.5).abs() < 0.01, "capacity ratio {cap_ratio}");
-        // Unit scale is the identity.
-        assert_eq!(g.scaled(1.0).zones, g.zones);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn scaled_rejects_zero_factor() {
-        DiskGeometry::st32550n().scaled(0.0);
     }
 }

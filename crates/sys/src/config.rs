@@ -1,7 +1,7 @@
 //! System-level configuration: scheduling mode, CPU cost model, and the
 //! pieces assembled from the component crates.
 
-use cras_core::{DeployMode, ServerConfig};
+use cras_core::ServerConfig;
 use cras_sim::Duration;
 
 /// Which CPU scheduling policy the whole workload runs under (Figure 10).
@@ -45,37 +45,22 @@ pub enum IssueMode {
 
 /// CPU cost model for the simulated software (representative P5-100
 /// figures; only their order of magnitude matters to the results, and the
-/// Figure 10 contrast is robust to them).
+/// Figure 10 contrast is robust to them). The fixed costs of the CRAS
+/// scheduler pass, CPU hogs and background readers are constants beside
+/// the code that charges them.
 #[derive(Clone, Copy, Debug)]
 pub struct CpuCosts {
-    /// CRAS request-scheduler fixed cost per interval pass.
-    pub cras_tick_base: Duration,
-    /// CRAS request-scheduler marginal cost per active stream.
-    pub cras_tick_per_stream: Duration,
     /// Player per-frame client cost (fetch + consume). The paper's
     /// multi-stream benchmarks are readers, not software decoders — a
     /// P5-100 could not decode 20 MPEG streams; keep this the cost of
     /// consuming a frame from shared memory.
     pub decode: Duration,
-    /// Unix-server CPU cost per file-system request.
-    pub ufs_serve: Duration,
-    /// Length of one CPU-hog busy burst (hogs re-arm forever).
-    pub hog_burst: Duration,
-    /// Minimum cycle time of a background reader: the syscall + user-copy
-    /// cost of one 64 KB `read()` on the simulated hardware. Keeps a
-    /// fully-cached `cat` from spinning in zero simulated time.
-    pub bg_cycle: Duration,
 }
 
 impl Default for CpuCosts {
     fn default() -> Self {
         CpuCosts {
-            cras_tick_base: Duration::from_micros(300),
-            cras_tick_per_stream: Duration::from_micros(40),
             decode: Duration::from_micros(500),
-            ufs_serve: Duration::from_micros(400),
-            hog_burst: Duration::from_millis(50),
-            bg_cycle: Duration::from_millis(1),
         }
     }
 }
@@ -89,40 +74,25 @@ pub struct SysConfig {
     pub sched: SchedMode,
     /// CPU cost model.
     pub costs: CpuCosts,
-    /// Deployment mode (Figure 5) for control-call overheads.
-    pub deploy: DeployMode,
     /// RNG seed for the whole system.
     pub seed: u64,
     /// Number of CPU-hog threads.
     pub hogs: u32,
-    /// Poll interval when a player finds its frame unbuffered.
-    pub poll: Duration,
-    /// If false, `open` failures from the admission test are overridden —
-    /// the Figure 6 throughput sweep measures *achieved* throughput past
-    /// the admitted load.
+    /// If false, CRAS opens run best effort
+    /// ([`cras_core::AdmitMode::BestEffort`]): a stream the admission
+    /// test refuses opens anyway with full disk shares — the Figure 6
+    /// throughput sweep measures *achieved* throughput past the
+    /// admitted load.
     pub enforce_admission: bool,
     /// Probability that a disk operation takes a transient retry stall
     /// (fault injection; 0 disables).
     pub disk_fault_prob: f64,
-    /// Stall added to a faulted disk operation.
-    pub disk_fault_penalty: Duration,
     /// Rebuild copy rate in bytes per second. The rebuild manager paces
     /// its normal-priority copy chunks so their long-run throughput never
     /// exceeds this; the real-time queue's strict priority already keeps
     /// admitted streams safe, the rate bounds how much *normal-queue*
     /// bandwidth (UFS traffic) the rebuild may take.
     pub rebuild_rate: f64,
-    /// Size of one rebuild copy chunk in bytes.
-    pub rebuild_chunk: u64,
-    /// Number of leading volumes built as faster (denser-platter)
-    /// spindles; 0 keeps the homogeneous ST32550N array. Each fast
-    /// volume is calibrated separately so per-volume admission weighs
-    /// its real bandwidth.
-    pub fast_volumes: u32,
-    /// Linear-density scale applied to the fast volumes (see
-    /// [`cras_disk::DiskGeometry::scaled`]); ignored when
-    /// `fast_volumes` is 0.
-    pub fast_factor: f64,
 }
 
 impl Default for SysConfig {
@@ -131,17 +101,11 @@ impl Default for SysConfig {
             server: ServerConfig::default(),
             sched: SchedMode::FixedPriority,
             costs: CpuCosts::default(),
-            deploy: DeployMode::UnixServer,
             seed: 42,
             hogs: 0,
-            poll: Duration::from_millis(5),
             enforce_admission: true,
             disk_fault_prob: 0.0,
-            disk_fault_penalty: Duration::from_millis(25),
             rebuild_rate: 4.0 * 1024.0 * 1024.0,
-            rebuild_chunk: 256 * 1024,
-            fast_volumes: 0,
-            fast_factor: 1.0,
         }
     }
 }

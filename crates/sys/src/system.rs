@@ -24,8 +24,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use cras_core::{
-    on_volume, AdmissionError, CacheState, CrasServer, ExtentMap, ParityGeometry, ParityState,
-    PlacementPolicy, ReadId, ReadReq, StreamId, VolumeExtent, VolumeLoad, PARITY_STRIPE_BYTES,
+    on_volume, AdmissionError, AdmitMode, CacheState, CrasServer, ExtentMap, ParityGeometry,
+    ParityState, PlacementPolicy, ReadId, ReadReq, Redundancy, StreamId, VolumeExtent, VolumeLoad,
+    JITTER, PARITY_STRIPE_BYTES,
 };
 use cras_disk::{Completed, DiskDevice, DiskRequest, VolumeId, VolumeSet};
 use cras_media::{Chunk, Movie, StreamProfile};
@@ -57,6 +58,33 @@ const REBUILD_RATE_FLOOR: f64 = 0.25;
 /// Completed per-volume interval records the read-steering load signal
 /// averages its completion-lag estimate over (per volume).
 const STEER_LAG_WINDOW: usize = 4;
+
+/// How long a player waits before looking again when its next frame is
+/// not yet buffered.
+const PLAYER_POLL: Duration = Duration::from_millis(5);
+
+/// Size of one rebuild copy chunk in bytes.
+const REBUILD_CHUNK: u64 = 256 * 1024;
+
+/// Stall added to a disk operation that takes an injected transient
+/// fault.
+const DISK_FAULT_PENALTY: Duration = Duration::from_millis(25);
+
+/// CPU cost of the CRAS request scheduler's interval pass, fixed part
+/// (a representative P5-100 figure, like the rest of the CPU model).
+const CRAS_TICK_BASE: Duration = Duration::from_micros(300);
+
+/// CPU cost of the CRAS request scheduler's interval pass, marginal
+/// part per active stream.
+const CRAS_TICK_PER_STREAM: Duration = Duration::from_micros(40);
+
+/// Length of one CPU-hog busy burst (hogs re-arm forever).
+const HOG_BURST: Duration = Duration::from_millis(50);
+
+/// Minimum cycle time of a background reader: the syscall + user-copy
+/// cost of one 64 KB `read()` on the simulated hardware. Keeps a
+/// fully-cached `cat` from spinning in zero simulated time.
+const BG_CYCLE: Duration = Duration::from_millis(1);
 
 /// Owner of a Unix-server request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -322,26 +350,19 @@ impl System {
     /// per volume, calibrated CRAS.
     ///
     /// Disk parameters for the admission test come from running the
-    /// Appendix A calibration against a scratch copy of each distinct
-    /// disk model — CRAS only ever sees what a real system could
-    /// measure. A homogeneous array (`cfg.fast_volumes == 0`) needs one
-    /// calibration; a mixed array calibrates the fast model separately
-    /// so per-volume admission weighs each spindle's real bandwidth.
+    /// Appendix A calibration against a scratch copy of the disk model —
+    /// CRAS only ever sees what a real system could measure.
     pub fn new(cfg: SysConfig) -> System {
         assert!(cfg.server.volumes >= 1, "system needs at least one volume");
-        assert!(
-            (cfg.fast_volumes as usize) <= cfg.server.volumes,
-            "fast_volumes exceeds the volume count"
-        );
         let mut rng = Rng::new(cfg.seed);
         let nvol = cfg.server.volumes;
         let mut devices: Vec<DiskDevice<DiskTag>> = Vec::with_capacity(nvol);
         for v in 0..nvol as u64 {
-            let mut disk: DiskDevice<DiskTag> = Self::base_device(&cfg, v as u32);
+            let mut disk: DiskDevice<DiskTag> = DiskDevice::st32550n();
             if cfg.disk_fault_prob > 0.0 {
                 disk.set_fault_injector(Some(cras_disk::FaultInjector::new(
                     cfg.disk_fault_prob,
-                    cfg.disk_fault_penalty,
+                    DISK_FAULT_PENALTY,
                     cfg.seed ^ 0xFA17 ^ (v << 32),
                 )));
             }
@@ -356,22 +377,7 @@ impl System {
                 Ufs::format_volume(&geom, MkfsParams::tuned(&geom), rng.fork().next_u64(), v)
             })
             .collect();
-        let cras = if cfg.fast_volumes == 0 {
-            CrasServer::new(cal.params, cfg.server)
-        } else {
-            let mut fast_scratch: DiskDevice<u8> = Self::base_device(&cfg, 0);
-            let fast = cras_disk::calibrate::calibrate(&mut fast_scratch, 64 * 1024).params;
-            let per_volume = (0..nvol as u32)
-                .map(|v| {
-                    if v < cfg.fast_volumes {
-                        fast
-                    } else {
-                        cal.params
-                    }
-                })
-                .collect();
-            CrasServer::new_per_volume(per_volume, cfg.server)
-        };
+        let cras = CrasServer::new(cal.params, cfg.server);
         let mut cpu = Cpu::new();
         let cras_tid = cpu.create("cras-sched", Self::policy_for(&cfg, prio::CRAS));
         let hog_tids = (0..cfg.hogs)
@@ -412,21 +418,6 @@ impl System {
             },
             journal: Journal::new(),
             actions: Vec::new(),
-        }
-    }
-
-    /// The uncalibrated disk model behind volume `v`: the leading
-    /// `cfg.fast_volumes` spindles are ST32550N mechanics with platter
-    /// density scaled by `cfg.fast_factor`, the rest are stock.
-    fn base_device<T>(cfg: &SysConfig, v: u32) -> DiskDevice<T> {
-        if v < cfg.fast_volumes {
-            DiskDevice::new(
-                cras_disk::DiskGeometry::st32550n().scaled(cfg.fast_factor),
-                cras_disk::SeekModel::st32550n_measured(),
-                cras_disk::DiskTimings::st32550n(),
-            )
-        } else {
-            DiskDevice::st32550n()
         }
     }
 
@@ -820,53 +811,23 @@ impl SysState {
         id
     }
 
-    /// Opens a CRAS stream for `movie`: the admission half of
-    /// [`System::add_cras_player`].
-    fn open_cras_stream(&mut self, movie: &Movie) -> Result<StreamId, AdmissionError> {
+    /// Opens a CRAS stream for `movie` under `mode`: the admission half
+    /// of [`System::add_cras_player`].
+    fn open_cras_stream(
+        &mut self,
+        movie: &Movie,
+        mode: AdmitMode,
+    ) -> Result<StreamId, AdmissionError> {
         let extents = self.movie_extents(movie);
-        let stream = if let Some(ps) = self.movie_parity_state(movie) {
-            if self.cfg.enforce_admission {
-                self.cras
-                    .open_parity(&movie.name, movie.table.clone(), extents, ps)?
-            } else {
-                match self.cras.open_parity(
-                    &movie.name,
-                    movie.table.clone(),
-                    extents.clone(),
-                    ps.clone(),
-                ) {
-                    Ok(id) => id,
-                    Err(_) => self.cras.open_parity_unchecked(
-                        &movie.name,
-                        movie.table.clone(),
-                        extents,
-                        ps,
-                    ),
-                }
-            }
-        } else {
-            let mirror = self.movie_mirror_extents(movie);
-            if self.cfg.enforce_admission {
-                self.cras
-                    .open_replicated(&movie.name, movie.table.clone(), extents, mirror)?
-            } else {
-                match self.cras.open_replicated(
-                    &movie.name,
-                    movie.table.clone(),
-                    extents.clone(),
-                    mirror.clone(),
-                ) {
-                    Ok(id) => id,
-                    Err(_) => self.cras.open_replicated_unchecked(
-                        &movie.name,
-                        movie.table.clone(),
-                        extents,
-                        mirror,
-                    ),
-                }
-            }
+        let redundancy = match self.movie_parity_state(movie) {
+            Some(ps) => Redundancy::Parity(ps),
+            None => match self.movie_mirror_extents(movie) {
+                Some(m) => Redundancy::Mirror(m),
+                None => Redundancy::None,
+            },
         };
-        Ok(stream)
+        self.cras
+            .open(&movie.name, movie.table.clone(), extents, redundancy, mode)
     }
 }
 
@@ -881,9 +842,8 @@ impl System {
 
     /// Starts the configured CPU hogs.
     pub fn start_hogs(&mut self) {
-        let burst = self.state.cfg.costs.hog_burst;
         for (i, tid) in self.state.hog_tids.clone().into_iter().enumerate() {
-            self.exec_wake_cpu(tid, burst, CpuTag::Hog(i as u32));
+            self.exec_wake_cpu(tid, HOG_BURST, CpuTag::Hog(i as u32));
         }
     }
 
@@ -926,7 +886,12 @@ impl System {
         movie: &Movie,
         stride: u32,
     ) -> Result<ClientId, AdmissionError> {
-        let stream = self.state.open_cras_stream(movie)?;
+        let mode = if self.state.cfg.enforce_admission {
+            AdmitMode::Checked
+        } else {
+            AdmitMode::BestEffort
+        };
+        let stream = self.state.open_cras_stream(movie, mode)?;
         Ok(self.install_cras_player(movie, stride, stream))
     }
 
@@ -942,14 +907,7 @@ impl System {
         if self.state.movie_parity_state(movie).is_some() {
             return self.add_cras_player(movie, stride);
         }
-        let extents = self.state.movie_extents(movie);
-        let mirror = self.state.movie_mirror_extents(movie);
-        let stream = self.state.cras.open_deferred_replicated(
-            &movie.name,
-            movie.table.clone(),
-            extents,
-            mirror,
-        )?;
+        let stream = self.state.open_cras_stream(movie, AdmitMode::Replay)?;
         Ok(self.install_cras_player(movie, stride, stream))
     }
 
@@ -1529,10 +1487,8 @@ impl System {
         {
             return Err(AttachError::PeersDown);
         }
-        // The replacement must match the failed slot's disk model, or a
-        // fast volume would silently degrade to stock mechanics.
         self.disks
-            .try_replace_volume(VolumeId(vol), Self::base_device(&self.cfg, vol))
+            .try_replace_volume(VolumeId(vol), DiskDevice::st32550n())
             .map_err(|_| AttachError::DeviceBusy)?;
         let cfg = self.state.cfg;
         if cfg.disk_fault_prob > 0.0 {
@@ -1541,7 +1497,7 @@ impl System {
                 .volume_mut(VolumeId(vol))
                 .set_fault_injector(Some(cras_disk::FaultInjector::new(
                     cfg.disk_fault_prob,
-                    cfg.disk_fault_penalty,
+                    DISK_FAULT_PENALTY,
                     cfg.seed ^ 0xFA17 ^ ((vol as u64) << 32) ^ 0x5EB1,
                 )));
         }
@@ -1573,11 +1529,7 @@ impl System {
             } else {
                 continue;
             };
-            chunks.extend(plan_chunks(
-                &ExtentMap::new(src),
-                &dst,
-                self.cfg.rebuild_chunk,
-            ));
+            chunks.extend(plan_chunks(&ExtentMap::new(src), &dst, REBUILD_CHUNK));
         }
         // Parity movies whose band contains the volume: reconstruct its
         // lost data units from the surviving data+parity units, and
@@ -2160,8 +2112,7 @@ impl SysState {
         // interval pass happens; under round robin this is where delay
         // creeps in (Figure 10).
         let streams = self.cras.stream_count() as u64;
-        let burst = self.cfg.costs.cras_tick_base
-            + Duration::from_nanos(self.cfg.costs.cras_tick_per_stream.as_nanos() * streams.max(1));
+        let burst = CRAS_TICK_BASE + CRAS_TICK_PER_STREAM * streams.max(1);
         self.wake_cpu(self.cras_tid, burst, CpuTag::CrasSched, acts);
         let next = now + self.cfg.server.interval;
         acts.push(Action::Schedule {
@@ -2265,11 +2216,9 @@ impl SysState {
                 self.on_frame_decoded(client, frame, now, acts);
             }
             CpuTag::Hog(i) => {
-                let burst = self.cfg.costs.hog_burst;
                 let tid = self.hog_tids[i as usize];
-                self.wake_cpu(tid, burst, CpuTag::Hog(i), acts);
+                self.wake_cpu(tid, HOG_BURST, CpuTag::Hog(i), acts);
             }
-            CpuTag::UfsServe => {}
         }
     }
 
@@ -2518,10 +2467,9 @@ impl SysState {
                             }
                         }
                         UOwner::Bg { client, bytes } => {
-                            let min_cycle = self.cfg.costs.bg_cycle;
                             if let Some(bg) = self.bgs.get_mut(&client.0) {
                                 bg.complete(bytes);
-                                let at = now + bg.pause.max(min_cycle);
+                                let at = now + bg.pause.max(BG_CYCLE);
                                 acts.push(Action::Schedule {
                                     at,
                                     ev: Event::BgKick(client),
@@ -2578,12 +2526,10 @@ impl SysState {
                     }
                     None => {
                         let media_now = self.cras.media_time(stream, now);
-                        let jitter = self.cfg.server.jitter;
-                        let poll = self.cfg.poll;
                         let p = self.players.get_mut(&client.0).expect("exists");
                         p.stats.polls += 1;
                         p.polls_this_frame += 1;
-                        let expired = media_now > chunk.timestamp + jitter;
+                        let expired = media_now > chunk.timestamp + JITTER;
                         if expired || p.polls_this_frame > 1000 {
                             if let Some(_due) = p.frame_dropped(now) {
                                 let due = p.due(p.next_frame).max(now);
@@ -2597,7 +2543,7 @@ impl SysState {
                             });
                         } else {
                             acts.push(Action::Schedule {
-                                at: now + poll,
+                                at: now + PLAYER_POLL,
                                 ev: Event::PlayerPoll(client),
                             });
                         }

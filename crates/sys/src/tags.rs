@@ -128,8 +128,6 @@ pub enum CpuTag {
     },
     /// A CPU hog finished one busy burst (it immediately re-arms).
     Hog(u32),
-    /// The Unix server spent CPU processing one request.
-    UfsServe,
 }
 
 /// Tag arena: the CPU scheduler carries `u64` tags; the system maps them

@@ -10,8 +10,12 @@
 //! admitted streams and the bandwidth fraction they represent, for both
 //! MPEG-1 and MPEG-2 rates.
 
-use cras_core::{Admission, AdmissionModel, CrasServer, ServerConfig, StreamParams};
+use cras_core::{
+    on_volume, Admission, AdmissionModel, AdmitMode, CrasServer, Redundancy, ServerConfig,
+    StreamParams,
+};
 use cras_disk::calibrate::DiskParams;
+use cras_disk::VolumeId;
 
 use crate::result::{Figure, KvTable};
 
@@ -139,8 +143,14 @@ pub fn table3(params: DiskParams) -> KvTable {
             disk_block: 100_000 + i * 100_000,
             nblocks,
         }];
-        srv.open(&format!("m{i}"), table, extents)
-            .expect("5 MPEG1 streams fit");
+        srv.open(
+            &format!("m{i}"),
+            table,
+            on_volume(VolumeId(0), extents),
+            Redundancy::None,
+            AdmitMode::Checked,
+        )
+        .expect("5 MPEG1 streams fit");
     }
     kt.row(
         "server memory (5 streams)",

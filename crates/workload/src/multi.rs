@@ -14,9 +14,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cras_core::{CrasServer, ReadId, ServerConfig, StreamId};
+use cras_core::{on_volume, AdmitMode, CrasServer, ReadId, Redundancy, ServerConfig, StreamId};
 use cras_disk::calibrate::calibrate;
-use cras_disk::{DiskDevice, DiskRequest};
+use cras_disk::{DiskDevice, DiskRequest, VolumeId};
 use cras_media::StreamProfile;
 use cras_sim::{Duration, Instant, Rng};
 use cras_ufs::Extent;
@@ -62,7 +62,14 @@ fn synth_streams(
                 disk_block: base_block + i as u64 * 150_000,
                 nblocks,
             }];
-            srv.open_unchecked(&format!("s{base_block}-{i}"), table, extents)
+            srv.open(
+                &format!("s{base_block}-{i}"),
+                table,
+                on_volume(VolumeId(0), extents),
+                Redundancy::None,
+                AdmitMode::BestEffort,
+            )
+            .expect("a best-effort open never refuses")
         })
         .collect()
 }

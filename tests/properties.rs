@@ -4,16 +4,33 @@
 //! property-testing framework.
 
 use cras_repro::core::{
-    on_volume, Admission, AdmissionModel, CrasServer, PlacementPolicy, ServerConfig, StreamParams,
-    TimeDrivenBuffer,
+    on_volume, Admission, AdmissionError, AdmissionModel, AdmitMode, CrasServer, PlacementPolicy,
+    Redundancy, ServerConfig, StreamId, StreamParams, TimeDrivenBuffer,
 };
 use cras_repro::disk::calibrate::DiskParams;
 use cras_repro::disk::cscan::CScanQueue;
 use cras_repro::disk::{DiskDevice, DiskRequest, SeekModel, VolumeId};
+use cras_repro::media::ChunkTable;
 use cras_repro::media::{generate_chunks, StreamProfile};
 use cras_repro::sim::{Duration, Instant, Rng};
 use cras_repro::sys::{MoviePlacement, SysConfig, System};
 use cras_repro::ufs::{Extent, MkfsParams, Ufs};
+
+/// A checked open of a single-copy movie on volume 0.
+fn open0(
+    srv: &mut CrasServer,
+    name: &str,
+    table: ChunkTable,
+    extents: Vec<Extent>,
+) -> Result<StreamId, AdmissionError> {
+    srv.open(
+        name,
+        table,
+        on_volume(VolumeId(0), extents),
+        Redundancy::None,
+        AdmitMode::Checked,
+    )
+}
 
 /// C-SCAN never "passes over" a pending request: from any head
 /// position, repeatedly popping visits each cylinder group in at most
@@ -439,27 +456,33 @@ fn closing_stream_frees_capacity_on_its_volume() {
                 }],
             )
         };
+        let open = |srv: &mut CrasServer, name: &str, vol: u32| {
+            srv.open(
+                name,
+                table.clone(),
+                extents(vol),
+                Redundancy::None,
+                AdmitMode::Checked,
+            )
+        };
         // Fill volume 0 to rejection.
         let mut on0 = Vec::new();
-        while let Ok(id) = srv.open_placed("v0", table.clone(), extents(0)) {
+        while let Ok(id) = open(&mut srv, "v0", 0) {
             on0.push(id);
         }
         assert!(on0.len() >= 2, "case {case}");
         // Volume 1 is untouched: a stream there still admits, and its
         // admission does not consume volume-0 capacity.
-        let on1 = srv
-            .open_placed("v1", table.clone(), extents(1))
-            .expect("volume 1 has free capacity");
-        assert!(srv.open_placed("x", table.clone(), extents(0)).is_err());
+        let on1 = open(&mut srv, "v1", 1).expect("volume 1 has free capacity");
+        assert!(open(&mut srv, "x", 0).is_err());
         // Closing the volume-1 stream frees nothing on volume 0 ...
         srv.close(on1);
-        assert!(srv.open_placed("x", table.clone(), extents(0)).is_err());
+        assert!(open(&mut srv, "x", 0).is_err());
         // ... but closing a volume-0 stream frees exactly one slot there.
         let victim = rng.below(on0.len() as u64) as usize;
         srv.close(on0.swap_remove(victim));
-        srv.open_placed("x", table.clone(), extents(0))
-            .expect("closing a volume-0 stream frees volume-0 capacity");
-        assert!(srv.open_placed("y", table.clone(), extents(0)).is_err());
+        open(&mut srv, "x", 0).expect("closing a volume-0 stream frees volume-0 capacity");
+        assert!(open(&mut srv, "y", 0).is_err());
     }
 }
 
@@ -545,11 +568,12 @@ fn degraded_capacity_monotone_and_restored() {
             loop {
                 let p = live[n % live.len()];
                 let m = live[(n + 1) % live.len()];
-                let open = srv.open_replicated(
+                let open = srv.open(
                     &format!("s{n}"),
                     table.clone(),
                     rep(p, 0),
-                    Some(rep(m, 1_000_000)),
+                    Redundancy::Mirror(rep(m, 1_000_000)),
+                    AdmitMode::Checked,
                 );
                 match open {
                     Ok(_) => n += 1,
@@ -658,7 +682,7 @@ fn cache_served_follower_gets_byte_identical_data() {
                 ..ServerConfig::default()
             };
             let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
-            let leader = srv.open("m", table.clone(), extents.clone()).unwrap();
+            let leader = open0(&mut srv, "m", table.clone(), extents.clone()).unwrap();
             srv.start(leader, Instant::ZERO);
             let mut follower = None;
             let mut begin = Instant::ZERO;
@@ -666,7 +690,7 @@ fn cache_served_follower_gets_byte_identical_data() {
             for k in 0..40u64 {
                 let now = Instant::ZERO + Duration::from_millis(k * 500);
                 if follower.is_none() && k == follow_tick {
-                    let id = srv.open("m", table.clone(), extents.clone()).unwrap();
+                    let id = open0(&mut srv, "m", table.clone(), extents.clone()).unwrap();
                     begin = srv.start(id, now);
                     follower = Some(id);
                 }
@@ -749,15 +773,14 @@ fn leader_stop_degrades_follower_to_disk_without_drops() {
             ..ServerConfig::default()
         };
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
-        let leader = srv.open("m", table.clone(), extents.clone()).unwrap();
+        let leader = open0(&mut srv, "m", table.clone(), extents.clone()).unwrap();
         srv.start(leader, Instant::ZERO);
         let mut follower = None;
         let mut follower_reqs = 0usize;
         for k in 0..36u64 {
             let now = Instant::ZERO + Duration::from_millis(k * 500);
             if k == 6 {
-                let id = srv
-                    .open("m", table.clone(), extents.clone())
+                let id = open0(&mut srv, "m", table.clone(), extents.clone())
                     .expect("disk has room for the follower");
                 assert!(
                     srv.stream(id).cache_state.is_cached(),
@@ -816,14 +839,14 @@ fn follower_departure_never_leaks_pins() {
             ..ServerConfig::default()
         };
         let mut srv = CrasServer::new(DiskParams::paper_table4(), cfg);
-        let leader = srv.open("m", table.clone(), extents.clone()).unwrap();
+        let leader = open0(&mut srv, "m", table.clone(), extents.clone()).unwrap();
         srv.start(leader, Instant::ZERO);
         let mut followers = Vec::new();
         let mut now = Instant::ZERO;
         for k in 0..14u64 {
             now = Instant::ZERO + Duration::from_millis(k * 500);
             if k >= 6 && followers.len() < n_followers && k % 2 == 0 {
-                let id = srv.open("m", table.clone(), extents.clone()).unwrap();
+                let id = open0(&mut srv, "m", table.clone(), extents.clone()).unwrap();
                 srv.start(id, now);
                 followers.push(id);
             }
